@@ -34,6 +34,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidSpec,
     IoFailure,
+    MalformedFixture,
     OddModulusRequired,
     OrderDoesNotDivide,
     ParseError,

@@ -68,6 +68,16 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise _UsageError(f"expected comma-separated integers, got {text!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise _UsageError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def parse_spec(text: str) -> ProgressionSpec:
     """Parse a progression-spec string; validation is attached (cached) on the spec."""
     spec = counting.parse_progression_spec(text)
@@ -102,7 +112,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--family", choices=sorted(_FAMILY_NAMES), default="random-unimodular")
     sp.add_argument("--density", type=float, default=0.5)
     sp.add_argument("--a", type=int, default=None)
-    sp.add_argument("--trials", type=int, default=20)
+    sp.add_argument("--trials", type=_positive_int, default=20)
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common_output(sp)
 
@@ -127,7 +137,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--m", type=int, default=3)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--density", type=float, default=0.5)
-    sp.add_argument("--trials", type=int, default=20)
+    sp.add_argument("--trials", type=_positive_int, default=20)
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     common_output(sp)
 
@@ -173,6 +183,11 @@ def emit(report: SweepReport, fmt: str, path: str | None) -> None:
         data = report.to_csv()
     else:
         data = report.to_pretty()
+    _write(data, path)
+
+
+def _write(data: str, path: str | None) -> None:
+    """Write to stdout, or to `path` if given; a failed write raises IoFailure."""
     try:
         if path is None:
             sys.stdout.write(data)
@@ -265,13 +280,10 @@ def _cmd_search(cfg: CliConfig) -> int:
             {"p": ctx.p, "mode": cfg.mode, "size": size, "density": density, "set": elements},
             sort_keys=True,
         ) + "\n"
-        if cfg.output is None:
-            sys.stdout.write(data)
-        else:
-            Path(cfg.output).write_text(data)
     else:
-        print(f"p={ctx.p} mode={cfg.mode} size={size} density={density:.6f}")
-        print("set:", " ".join(map(str, elements)))
+        data = f"p={ctx.p} mode={cfg.mode} size={size} density={density:.6f}\n"
+        data += "set: " + " ".join(map(str, elements)) + "\n"
+    _write(data, cfg.output)
     return 0
 
 

@@ -26,6 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .budget import get_budget
 from .errors import (
@@ -208,19 +209,25 @@ def _warn_on_degree_collapse(spec: ProgressionSpec, p: int) -> None:
             )
 
 
-def _product_mean(fs, offsets, p: int, y_weight=None) -> complex:
-    """E_{x,y} prod_j f_j(x + offsets[j](y)) [* y_weight(y)], chunked over y."""
-    x = np.arange(p, dtype=np.int64)
-    total = 0.0 + 0j
+def _chunk_products(fs, offsets, p: int, y_weight=None):
+    """Yield prod_j f_j(x + offsets[j](y)) [* y_weight(y)] in (y, x) blocks; offsets in [0, p)."""
+    # Row j of a window over f's doubled values is f(x + j), so each slot is a row gather.
+    windows = [sliding_window_view(np.concatenate([f.values, f.values]), p) for f in fs]
     chunk = max(1, (1 << 21) // p)
     for y0 in range(0, p, chunk):
         y1 = min(y0 + chunk, p)
         prod = np.ones((y1 - y0, p), dtype=np.complex128)
-        for f, off in zip(fs, offsets):
-            idx = (x[None, :] + off[y0:y1, None]) % p
-            prod *= f.values[idx]
+        for w, off in zip(windows, offsets):
+            prod *= w[off[y0:y1]]
         if y_weight is not None:
             prod *= y_weight[y0:y1, None]
+        yield prod
+
+
+def _product_mean(fs, offsets, p: int, y_weight=None) -> complex:
+    """E_{x,y} prod_j f_j(x + offsets[j](y)) [* y_weight(y)]."""
+    total = 0.0 + 0j
+    for prod in _chunk_products(fs, offsets, p, y_weight):
         total += prod.sum()
     return total / (p * p)
 
@@ -258,20 +265,13 @@ def dual_function(spec: ProgressionSpec, fs, omit: int) -> FpFunction:
     ctx = _require_same_ctx(fs)
     p = ctx.p
     offsets = config_offsets(spec, p)
-    target = offsets[omit]
-    others = [(f, (off - target) % p) for j, (f, off) in enumerate(zip(fs, offsets)) if j != omit]
-    x = np.arange(p, dtype=np.int64)
+    others = [f for j, f in enumerate(fs) if j != omit]
+    shifts = [(off - offsets[omit]) % p for j, off in enumerate(offsets) if j != omit]
     out = np.zeros(p, dtype=np.complex128)
-    chunk = max(1, (1 << 21) // p)
-    for y0 in range(0, p, chunk):
-        y1 = min(y0 + chunk, p)
-        prod = np.ones((y1 - y0, p), dtype=np.complex128)
-        for f, off in others:
-            idx = (x[None, :] + off[y0:y1, None]) % p
-            prod *= f.values[idx]
+    for prod in _chunk_products(others, shifts, p):
         out += prod.sum(axis=0)
     out /= p
-    bounded = all(f.bounded for f, _ in others)
+    bounded = all(f.bounded for f in others)
     return FpFunction(ctx, out, bounded=bounded)
 
 

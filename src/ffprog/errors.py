@@ -77,3 +77,7 @@ class ParseError(FFProgError):
 
 class IoFailure(FFProgError):
     """A report could not be written."""
+
+
+class MalformedFixture(FFProgError):
+    """A fixture file does not hold p real and p imaginary parts."""

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .budget import charge
-from .errors import ContextMismatch
+from .errors import ContextMismatch, MalformedFixture
 from .field import FieldCtx, make_field
 
 BOUND_TOL = 1e-12
@@ -60,13 +60,18 @@ class FpFunction:
     @staticmethod
     def from_json(text: str, ctx: FieldCtx | None = None) -> "FpFunction":
         obj = json.loads(text)
-        p = int(obj["p"])
+        try:
+            p, real, imag = int(obj["p"]), obj["re"], obj["im"]
+        except (KeyError, TypeError) as exc:
+            raise MalformedFixture(f"fixture is not an object with p, re, im: {exc!r}") from exc
         if ctx is None:
             ctx = make_field(p)
         elif ctx.p != p:
             raise ContextMismatch(f"fixture has p={p}, context has p={ctx.p}")
-        vals = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-        return FpFunction(ctx, vals)
+        real, imag = np.asarray(real, dtype=float), np.asarray(imag, dtype=float)
+        if real.shape != (p,) or imag.shape != (p,):
+            raise MalformedFixture(f"fixture has p={p} but re shape {real.shape}, im {imag.shape}")
+        return FpFunction(ctx, real + 1j * imag)
 
 
 def constant(ctx: FieldCtx, c: complex = 1.0) -> FpFunction:

@@ -7,16 +7,14 @@ import pytest
 
 import ffprog
 from ffprog import BudgetExceeded, get_budget, set_budget
-from ffprog.budget import DEFAULT_BUDGET, ENV_VAR, charge
+from ffprog.budget import DEFAULT_BUDGET, charge
 
 
-def test_default_budget(monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
+def test_default_budget():
     assert get_budget() == DEFAULT_BUDGET
 
 
-def test_set_budget_overrides_and_resets(monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
+def test_set_budget_overrides_and_resets():
     set_budget(123)
     try:
         assert get_budget() == 123

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,51 @@ def test_search_commands(capsys):
                  "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["p"] == 11 and data["size"] == len(data["set"])
+
+
+def test_search_output(tmp_path, capsys):
+    out = tmp_path / "x.txt"
+    assert main(["search", "--spec", "m=3", "--p", "7", "--output", str(out)]) == 0
+    assert out.read_text() == "p=7 mode=exact size=3 density=0.428571\nset: 0 1 3\n"
+    assert capsys.readouterr().out == ""
+    bad = str(tmp_path / "missing" / "x.json")
+    cmd = ["search", "--spec", "m=3", "--p", "7", "--format", "json", "--output", bad]
+    assert main(cmd) == 1
+    err = capsys.readouterr().err
+    assert "IoFailure" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "cmd",
+    [
+        ["discorrelate", "--spec", "m=3", "--primes", "11"],
+        ["restricted-ap", "--primes", "11", "--k", "2"],
+    ],
+)
+@pytest.mark.parametrize("trials", ["0", "-2", "x"])
+def test_trials_must_be_positive(cmd, trials, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(cmd + ["--trials", trials]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "positive integer" in err[0]
+
+
+@pytest.mark.parametrize(
+    "fixture, detail",
+    [
+        ({"p": 7, "re": [0.0] * 7, "im": [0.0] * 6}, "p=7 but re shape (7,), im (6,)"),
+        ({"p": 7, "re": 0.0, "im": 0.0}, "p=7 but re shape (), im ()"),
+        ({"p": 7, "re": [0.0] * 7}, "'im'"),
+        ([7, [0.0] * 7, [0.0] * 7], "not an object"),
+    ],
+)
+def test_gowers_malformed_fixture(fixture, detail, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(fixture))
+    assert main(["gowers", "--fixture", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "MalformedFixture" in err and detail in err and "Traceback" not in err
 
 
 def test_usage_errors_exit_1(capsys):

@@ -25,6 +25,7 @@ from ffprog import (
     lambda_poly,
     make_field,
     monomial,
+    parse_progression_spec,
     set_budget,
     validate_spec,
 )
@@ -152,6 +153,24 @@ def test_lambda_poly_empty_equals_lambda_ap():
     assert lambda_poly(ProgressionSpec(3), fs) == lambda_ap(fs)
 
 
+@pytest.mark.parametrize("text", ["m=3;P=y^3,y^4", "m=2;P=-y^2+2y^3"])
+def test_lambda_poly_matches_double_sum(text):
+    p = 13
+    ctx = make_field(p)
+    spec = parse_progression_spec(text)
+    fs = [unimodular(ctx, 70 + i) for i in range(spec.total_points)]
+    total = 0j
+    for x in range(p):
+        for y in range(p):
+            points = [x + j * y for j in range(spec.m)]
+            points += [x + P.eval_mod(y, p) for P in spec.polys]
+            term = 1 + 0j
+            for f, pt in zip(fs, points):
+                term *= complex(f.values[pt % p])
+            total += term
+    assert abs(lambda_poly(spec, fs) - total / p**2) < 1e-12
+
+
 def test_lambda_multilinearity():
     ctx = make_field(11)
     spec = ProgressionSpec(2, (monomial(2),))
@@ -191,15 +210,20 @@ def test_generalized_von_neumann():
             assert lam <= bound + 1e-8
 
 
+# 1451 is the first prime p with (1 << 21) // p < p: the y range spans two chunks.
+MULTI_CHUNK_P = 1451
+
+
 def test_dual_function_identity():
-    ctx = make_field(11)
     spec = ProgressionSpec(3, (monomial(3), monomial(4)))
-    fs = [unimodular(ctx, 40 + i) for i in range(5)]
-    lam = lambda_poly(spec, fs)
-    for j in range(5):
-        F = dual_function(spec, fs, j)
-        conj_fj = FpFunction(ctx, np.conjugate(fs[j].values), bounded=True)
-        assert abs(inner(F, conj_fj) - lam) < 1e-9
+    for p in (11, MULTI_CHUNK_P):
+        ctx = make_field(p)
+        fs = [unimodular(ctx, 40 + i) for i in range(5)]
+        lam = lambda_poly(spec, fs)
+        for j in range(5):
+            F = dual_function(spec, fs, j)
+            conj_fj = FpFunction(ctx, np.conjugate(fs[j].values), bounded=True)
+            assert abs(inner(F, conj_fj) - lam) < 1e-9
     with pytest.raises(IndexOutOfRange):
         dual_function(spec, fs, 5)
 
@@ -266,6 +290,13 @@ def test_restricted_unrestricted_equal_when_k1():
     assert lambda_linear(sysspec, fs, True) == lambda_linear(sysspec, fs, False)
     # and matches lambda_ap on 2-term APs
     assert abs(lambda_linear(sysspec, fs, False) - lambda_ap(fs)) < 1e-12
+
+
+def test_lambda_ap_matches_linear_forms_across_chunks():
+    ctx = make_field(MULTI_CHUNK_P)
+    sysspec = LinearSystemSpec(d=2, forms=((1, 0), (1, 1), (1, 2)), powers=(1, 1))
+    fs = [unimodular(ctx, 80 + i) for i in range(3)]
+    assert abs(lambda_ap(fs) - lambda_linear(sysspec, fs, restricted=False)) < 1e-12
 
 
 def test_lambda_linear_budget():
