@@ -5,8 +5,8 @@ own math check fails (bound violation, contract breach).
 """
 
 import argparse
+import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import counting, experiments
@@ -17,38 +17,6 @@ from .field import make_field
 from .harmonic import FpFunction, gowers_direct, gowers_fast
 
 DEFAULT_SEED = 0xF1E1D  # documented fixed default
-
-_FAMILY_NAMES = {
-    "random-unimodular": "random_unimodular",
-    "random-indicator": "random_indicator",
-    "quadratic-phase": "quadratic_phase",
-    "character-phase": "character_phase",
-}
-
-
-@dataclass
-class CliConfig:
-    subcommand: str
-    p: int | None = None
-    primes: tuple[int, ...] = ()
-    spec: str | None = None
-    family: str = "random-unimodular"
-    density: float = 0.5
-    trials: int = 20
-    seed: int = DEFAULT_SEED
-    output: str | None = None
-    format: str = "pretty"
-    s: int = 2
-    strategy: str = "fast"
-    fixture: str | None = None
-    fixtures: tuple[str, ...] = ()
-    k: int | str = "all"
-    r: int = 1
-    points: tuple[int, ...] = ()
-    a: int | None = None
-    m: int = 3
-    mode: str = "exact"
-    cap: int = 31
 
 
 class _UsageError(Exception):
@@ -66,6 +34,10 @@ def _int_list(text: str) -> tuple[int, ...]:
         return tuple(int(tok) for tok in text.split(",") if tok != "")
     except ValueError as exc:
         raise _UsageError(f"expected comma-separated integers, got {text!r}") from exc
+
+
+def _path_list(text: str) -> tuple[str, ...]:
+    return tuple(tok for tok in text.split(",") if tok)
 
 
 def _positive_int(text: str) -> int:
@@ -93,23 +65,29 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="ffprog", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common_output(sp):
-        sp.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
+    def common_output(sp, formats=("json", "csv", "pretty")):
+        sp.add_argument("--format", choices=formats, default="pretty")
         sp.add_argument("--output", default=None, help="write report here instead of stdout")
 
     sp = sub.add_parser("gowers", help="U^s norm of a fixture function")
+    sp.set_defaults(run=_cmd_gowers)
     sp.add_argument("--fixture", required=True, help='JSON file {"p":int,"re":[..],"im":[..]}')
     sp.add_argument("--s", type=int, default=2)
     sp.add_argument("--strategy", choices=("direct", "fast"), default="fast")
 
     sp = sub.add_parser("lambda", help="counting operator on fixture functions")
+    sp.set_defaults(run=_cmd_lambda)
     sp.add_argument("--spec", required=True)
-    sp.add_argument("--fixtures", required=True, help="comma-separated fixture paths")
+    sp.add_argument(
+        "--fixtures", type=_path_list, required=True, help="comma-separated fixture paths"
+    )
 
     sp = sub.add_parser("discorrelate", help="discorrelation error sweep over a prime ladder")
+    sp.set_defaults(run=_cmd_discorrelate)
     sp.add_argument("--spec", required=True)
-    sp.add_argument("--primes", required=True)
-    sp.add_argument("--family", choices=sorted(_FAMILY_NAMES), default="random-unimodular")
+    sp.add_argument("--primes", type=_int_list, required=True)
+    families = sorted(kind.replace("_", "-") for kind in experiments.FAMILY_KINDS)
+    sp.add_argument("--family", choices=families, default="random-unimodular")
     sp.add_argument("--density", type=float, default=0.5)
     sp.add_argument("--a", type=int, default=None)
     sp.add_argument("--trials", type=_positive_int, default=20)
@@ -117,24 +95,28 @@ def build_parser() -> _Parser:
     common_output(sp)
 
     sp = sub.add_parser("counterexample", help="degree-condition failure demo")
+    sp.set_defaults(run=_cmd_counterexample)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--a", type=int, required=True)
 
     sp = sub.add_parser("chardecay", help="Gowers norms of multiplicative characters")
-    sp.add_argument("--primes", required=True)
+    sp.set_defaults(run=_cmd_chardecay)
+    sp.add_argument("--primes", type=_int_list, required=True)
     sp.add_argument("--s", type=int, default=2)
     sp.add_argument("--k", default="all", help="character order, or 'all' for every divisor")
     common_output(sp)
 
     sp = sub.add_parser("weil", help="character sum against the 2r/sqrt(p) bound")
+    sp.set_defaults(run=_cmd_weil)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--points", required=True, help="comma-separated b_1..b_2r")
+    sp.add_argument("--r", type=_positive_int, required=True)
+    sp.add_argument("--points", type=_int_list, required=True, help="comma-separated b_1..b_2r")
 
     sp = sub.add_parser("restricted-ap", help="APs with k-th power differences sweep")
-    sp.add_argument("--primes", required=True)
-    sp.add_argument("--m", type=int, default=3)
+    sp.set_defaults(run=_cmd_restricted_ap)
+    sp.add_argument("--primes", type=_int_list, required=True)
+    sp.add_argument("--m", type=_positive_int, default=3)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--density", type=float, default=0.5)
     sp.add_argument("--trials", type=_positive_int, default=20)
@@ -142,37 +124,20 @@ def build_parser() -> _Parser:
     common_output(sp)
 
     sp = sub.add_parser("search", help="progression-free set search")
+    sp.set_defaults(run=_cmd_search)
     sp.add_argument("--spec", required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--mode", choices=("exact", "greedy"), default="exact")
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.add_argument("--cap", type=int, default=31)
-    common_output(sp)
+    common_output(sp, ("json", "pretty"))
 
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> CliConfig:
-    cfg = CliConfig(subcommand=args.subcommand)
-    for name in vars(args):
-        if name == "primes":
-            cfg.primes = _int_list(args.primes)
-        elif name == "points":
-            cfg.points = _int_list(args.points)
-        elif name == "fixtures":
-            cfg.fixtures = tuple(tok for tok in args.fixtures.split(",") if tok)
-        elif hasattr(cfg, name):
-            value = getattr(args, name)
-            if value is not None or name in ("a", "output", "fixture"):
-                setattr(cfg, name, value)
-    return cfg
-
-
-def _family(cfg: CliConfig) -> TrialFunctionFamily:
-    kind = _FAMILY_NAMES.get(cfg.family)
-    if kind is None:
-        raise _UsageError(f"unknown family {cfg.family!r}")
-    return TrialFunctionFamily(kind=kind, seed=cfg.seed, density=cfg.density, a=cfg.a)
+def _family(args: argparse.Namespace) -> TrialFunctionFamily:
+    kind = args.family.replace("-", "_")
+    return TrialFunctionFamily(kind=kind, seed=args.seed, density=args.density, a=args.a)
 
 
 def emit(report: SweepReport, fmt: str, path: str | None) -> None:
@@ -205,31 +170,31 @@ def _load_fixture(path: str) -> FpFunction:
     return FpFunction.from_json(text)
 
 
-def _cmd_gowers(cfg: CliConfig) -> int:
-    f = _load_fixture(cfg.fixture)
-    value = gowers_direct(f, cfg.s) if cfg.strategy == "direct" else gowers_fast(f, cfg.s)
-    print(f"U^{cfg.s} = {value:.12g}")
+def _cmd_gowers(args: argparse.Namespace) -> int:
+    f = _load_fixture(args.fixture)
+    value = gowers_direct(f, args.s) if args.strategy == "direct" else gowers_fast(f, args.s)
+    print(f"U^{args.s} = {value:.12g}")
     return 0
 
 
-def _cmd_lambda(cfg: CliConfig) -> int:
-    spec = parse_spec(cfg.spec)
-    fs = [_load_fixture(path) for path in cfg.fixtures]
+def _cmd_lambda(args: argparse.Namespace) -> int:
+    spec = parse_spec(args.spec)
+    fs = [_load_fixture(path) for path in args.fixtures]
     value = lambda_poly(spec, fs)
     print(f"lambda = {value.real:.12g}{value.imag:+.12g}i  |lambda| = {abs(value):.12g}")
     return 0
 
 
-def _cmd_discorrelate(cfg: CliConfig) -> int:
-    spec = parse_spec(cfg.spec)
-    report = experiments.discorrelation_sweep(cfg.primes, spec, _family(cfg), cfg.trials)
-    emit(report, cfg.format, cfg.output)
+def _cmd_discorrelate(args: argparse.Namespace) -> int:
+    spec = parse_spec(args.spec)
+    report = experiments.discorrelation_sweep(args.primes, spec, _family(args), args.trials)
+    emit(report, args.format, args.output)
     return 0
 
 
-def _cmd_counterexample(cfg: CliConfig) -> int:
-    ctx = make_field(cfg.p)
-    lhs, rhs = experiments.counterexample_demo(ctx, cfg.a)
+def _cmd_counterexample(args: argparse.Namespace) -> int:
+    ctx = make_field(args.p)
+    lhs, rhs = experiments.counterexample_demo(ctx, args.a)
     print(f"lhs={lhs:.9f} rhs={rhs:.9f}")
     if abs(lhs - 1.0) > 1e-9 or rhs > 1e-12:
         print("counterexample contract violated", file=sys.stderr)
@@ -237,82 +202,59 @@ def _cmd_counterexample(cfg: CliConfig) -> int:
     return 0
 
 
-def _cmd_chardecay(cfg: CliConfig) -> int:
-    orders = cfg.k if cfg.k == "all" else int(cfg.k)
+def _cmd_chardecay(args: argparse.Namespace) -> int:
+    orders = args.k if args.k == "all" else int(args.k)
     try:
-        report = experiments.character_norm_decay(cfg.primes, cfg.s, orders)
+        report = experiments.character_norm_decay(args.primes, args.s, orders)
     except BoundViolation as exc:
         if exc.report is not None:
-            emit(exc.report, cfg.format, cfg.output)
+            emit(exc.report, args.format, args.output)
         print(f"bound violation: {exc}", file=sys.stderr)
         return 2
-    emit(report, cfg.format, cfg.output)
+    emit(report, args.format, args.output)
     return 0
 
 
-def _cmd_weil(cfg: CliConfig) -> int:
-    ctx = make_field(cfg.p)
-    modulus, bound, holds = experiments.weil_corollary_check(ctx, cfg.k, cfg.r, cfg.points)
+def _cmd_weil(args: argparse.Namespace) -> int:
+    ctx = make_field(args.p)
+    modulus, bound, holds = experiments.weil_corollary_check(ctx, args.k, args.r, args.points)
     print(f"modulus={modulus:.9f} bound={bound:.9f} holds={str(holds).lower()}")
     return 0 if holds else 2
 
 
-def _cmd_restricted_ap(cfg: CliConfig) -> int:
-    family = TrialFunctionFamily(kind="random_indicator", seed=cfg.seed, density=cfg.density)
-    report = experiments.restricted_ap_experiment(cfg.primes, cfg.m, cfg.k, family, cfg.trials)
-    emit(report, cfg.format, cfg.output)
+def _cmd_restricted_ap(args: argparse.Namespace) -> int:
+    family = TrialFunctionFamily(kind="random_indicator", seed=args.seed, density=args.density)
+    report = experiments.restricted_ap_experiment(args.primes, args.m, args.k, family, args.trials)
+    emit(report, args.format, args.output)
     return 0
 
 
-def _cmd_search(cfg: CliConfig) -> int:
-    spec = parse_spec(cfg.spec)
-    ctx = make_field(cfg.p)
-    if cfg.mode == "exact":
-        size, elements = exact_max_free_set(ctx, spec, cap=cfg.cap)
+def _cmd_search(args: argparse.Namespace) -> int:
+    spec = parse_spec(args.spec)
+    ctx = make_field(args.p)
+    if args.mode == "exact":
+        size, elements = exact_max_free_set(ctx, spec, cap=args.cap)
         density = size / ctx.p
     else:
-        elements, density = greedy_free_set(ctx, spec, cfg.seed)
+        elements, density = greedy_free_set(ctx, spec, args.seed)
         size = len(elements)
-    if cfg.format == "json":
-        import json
-
+    if args.format == "json":
         data = json.dumps(
-            {"p": ctx.p, "mode": cfg.mode, "size": size, "density": density, "set": elements},
+            {"p": ctx.p, "mode": args.mode, "size": size, "density": density, "set": elements},
             sort_keys=True,
         ) + "\n"
     else:
-        data = f"p={ctx.p} mode={cfg.mode} size={size} density={density:.6f}\n"
+        data = f"p={ctx.p} mode={args.mode} size={size} density={density:.6f}\n"
         data += "set: " + " ".join(map(str, elements)) + "\n"
-    _write(data, cfg.output)
+    _write(data, args.output)
     return 0
-
-
-_COMMANDS = {
-    "gowers": _cmd_gowers,
-    "lambda": _cmd_lambda,
-    "discorrelate": _cmd_discorrelate,
-    "counterexample": _cmd_counterexample,
-    "chardecay": _cmd_chardecay,
-    "weil": _cmd_weil,
-    "restricted-ap": _cmd_restricted_ap,
-    "search": _cmd_search,
-}
-
-
-def run(config: CliConfig) -> int:
-    """Dispatch a parsed CliConfig; returns the process exit code."""
-    handler = _COMMANDS.get(config.subcommand)
-    if handler is None:
-        raise _UsageError(f"unknown subcommand {config.subcommand!r}")
-    return handler(config)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = config_from_args(args)
-        return run(config)
+        return args.run(args)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
     except _UsageError as exc:

@@ -25,12 +25,13 @@ from .counting import (
 )
 from .errors import (
     BoundViolation,
+    CompositeModulus,
     DegenerateConfiguration,
     OddModulusRequired,
     PrincipalCharacter,
     ZeroPhase,
 )
-from .field import FieldCtx, kth_power_residues, make_field, mult_character
+from .field import FieldCtx, is_prime, kth_power_residues, make_field, mult_character
 from .harmonic import FpFunction, gowers_fast
 from . import counting
 
@@ -178,11 +179,14 @@ def discorrelation_error(ctx: FieldCtx, spec: ProgressionSpec, fs) -> float:
 
 
 def _checked_primes(primes) -> list[int]:
+    """The sorted ladder; rejects non-primes before any budget is charged."""
     out = []
     for p in primes:
         ctx_p = int(p)
         if ctx_p % 2 == 0 or ctx_p == 1:
             raise OddModulusRequired(f"p={ctx_p} must be an odd prime")
+        if not is_prime(ctx_p):
+            raise CompositeModulus(f"{ctx_p} is not prime")
         out.append(ctx_p)
     return sorted(out)
 
@@ -300,6 +304,8 @@ def character_norm_decay(primes, s: int, orders="all") -> SweepReport:
 
 def weil_corollary_check(ctx: FieldCtx, k: int, r: int, points) -> tuple[float, float, bool]:
     """|E_x chi((x-b_1)..(x-b_r)) conj(chi)((x-b_{r+1})..(x-b_{2r}))| against 2r p^{-1/2}."""
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
     p = ctx.p
     kk = math.gcd(int(k), p - 1)
     if kk == 1:
@@ -335,6 +341,8 @@ def restricted_ap_experiment(
     Per trial draws one indicator set A from the family and measures
     | E prod 1_A(x+jy) 1_{Q_k}(y) - (1/k') E prod 1_A(x+jy) |, k' = gcd(k, p-1).
     """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     if m > 4:
         raise ValueError("m <= 4 enforced (cost p^2 m per trial)")
     ladder = _checked_primes(primes)

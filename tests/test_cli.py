@@ -1,12 +1,21 @@
+import io
 import json
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffprog import FpFunction, IntPolynomial, ParseError, ProgressionSpec, make_field
+from ffprog import (
+    FpFunction,
+    IntPolynomial,
+    ParseError,
+    ProgressionSpec,
+    make_field,
+    set_budget,
+)
 from ffprog.cli import DEFAULT_SEED, main, parse_spec, render_spec
 from ffprog.counting import parse_progression_spec, render_progression_spec
 
@@ -188,6 +197,37 @@ def test_trials_must_be_positive(cmd, trials, capsys):
 
 
 @pytest.mark.parametrize(
+    "cmd",
+    [
+        ["restricted-ap", "--primes", "11", "--k", "2", "--trials", "2", "--m"],
+        ["weil", "--p", "11", "--k", "2", "--points", "", "--r"],
+    ],
+)
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_m_and_r_must_be_positive(cmd, value, capsys):
+    assert main(cmd + [value]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "positive integer" in err[0]
+
+
+@pytest.mark.parametrize(
+    "cmd",
+    [["discorrelate", "--spec", "m=3"], ["restricted-ap", "--k", "2"]],
+)
+def test_composite_prime_rejected_before_budget(cmd, capsys):
+    # 1000001 = 101 * 9901; its budget estimate alone would exceed the default budget
+    assert main(cmd + ["--primes", "11,1000001", "--trials", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "CompositeModulus" in err and "BudgetExceeded" not in err
+
+
+def test_search_rejects_csv(capsys):
+    assert main(["search", "--spec", "m=3", "--p", "11", "--format", "csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid choice: 'csv'" in captured.err
+
+
+@pytest.mark.parametrize(
     "fixture, detail",
     [
         ({"p": 7, "re": [0.0] * 7, "im": [0.0] * 6}, "p=7 but re shape (7,), im (6,)"),
@@ -214,6 +254,152 @@ def test_usage_errors_exit_1(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+# --- hostile argv ------------------------------------------------------------
+
+# Each flag is (valid values, hostile values). A generated command line gives
+# every flag a valid value except at most one, the victim, which gets a hostile
+# value or is left out. Hostile integers are zero, negative, positive up to 29
+# or not an integer at all, a quarter each.
+INT = st.one_of(
+    st.just("0"),
+    st.integers(-3, -1).map(str),
+    st.integers(1, 29).map(str),
+    st.sampled_from(["x", "1.5", ""]),
+)
+PRIMES = ["3", "5", "7", "11", "13", "17", "19", "23"]
+
+
+def _joined(elements, min_size=0, max_size=3):
+    return st.lists(elements, min_size=min_size, max_size=max_size).map(",".join)
+
+
+LADDER = (
+    _joined(st.sampled_from(PRIMES), min_size=1),
+    _joined(st.integers(-3, 29).map(str)) | st.sampled_from(["x", "7,,11", "7.0"]),
+)
+SPEC = (
+    ["m=3", "m=2;P=y^2", "m=1;P=y^3", "m=3;P=y^3,y^4"],
+    st.sampled_from(["m=3;P=y^2", "m=", "m=0", "m=3;P=y^", ""]),
+)
+DENSITY = (["0.5", "0.2"], st.sampled_from(["-1", "2", "nan", "x"]))
+SEED = (["0", "7"], INT)
+TRIALS = (["1", "3"], INT)
+FORMAT = (["json", "csv", "pretty"], st.just("xml"))
+OUTPUT = (["<out>"], st.just("<nodir>"))
+FIXTURE = st.sampled_from(["<f7>", "<f11>", "<bad>", "<notjson>", "<missing>"])
+
+FLAGS = {
+    "gowers": {
+        "--fixture": (["<f7>", "<f11>"], FIXTURE),
+        "--s": (["2", "3"], INT),
+        "--strategy": (["direct", "fast"], st.just("x")),
+    },
+    "lambda": {
+        "--spec": SPEC,
+        "--fixtures": (
+            ["<f7>,<f7>,<f7>", "<f7>,<f7>,<f7>,<f7>,<f7>"],
+            _joined(FIXTURE, max_size=6),
+        ),
+    },
+    "discorrelate": {
+        "--spec": SPEC,
+        "--primes": LADDER,
+        "--family": (
+            ["random-unimodular", "random-indicator", "quadratic-phase", "character-phase"],
+            st.just("x"),
+        ),
+        "--density": DENSITY,
+        "--a": (["1", "3"], INT),
+        "--trials": TRIALS,
+        "--seed": SEED,
+        "--format": FORMAT,
+        "--output": OUTPUT,
+    },
+    "counterexample": {"--p": (PRIMES, INT), "--a": (["1", "2"], INT)},
+    "chardecay": {
+        "--primes": LADDER,
+        "--s": (["2", "3"], INT),
+        "--k": (["all", "2", "3"], INT),
+        "--format": FORMAT,
+        "--output": OUTPUT,
+    },
+    "weil": {
+        "--p": (PRIMES, INT),
+        "--k": (["2", "3"], INT),
+        "--r": (["1", "2"], INT),
+        "--points": (["0,1", "1,2,5,7"], _joined(st.integers(-3, 29).map(str), max_size=4)),
+    },
+    "restricted-ap": {
+        "--primes": LADDER,
+        "--m": (["1", "2", "3", "4"], INT),
+        "--k": (["1", "2", "3"], INT),
+        "--density": DENSITY,
+        "--trials": TRIALS,
+        "--seed": SEED,
+        "--format": FORMAT,
+        "--output": OUTPUT,
+    },
+    "search": {
+        "--spec": SPEC,
+        "--p": (PRIMES, INT),
+        "--mode": (["exact", "greedy"], st.just("x")),
+        "--seed": SEED,
+        "--cap": (["31"], INT),
+        "--format": (["json", "pretty"], st.sampled_from(["csv", "xml"])),
+        "--output": OUTPUT,
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """Paths that stand in for the placeholders the argv strategy draws."""
+    root = tmp_path_factory.mktemp("argv")
+    rng = np.random.default_rng(1)
+    files = {"<out>": root / "report.txt", "<nodir>": root / "missing" / "report.txt"}
+    for p in (7, 11):
+        files[f"<f{p}>"] = root / f"f{p}.json"
+        f = FpFunction(make_field(p), np.exp(2j * np.pi * rng.random(p)), bounded=True)
+        files[f"<f{p}>"].write_text(f.to_json())
+    files["<bad>"] = root / "bad.json"
+    files["<bad>"].write_text(json.dumps({"p": 7, "re": [0.0] * 6, "im": [0.0] * 7}))
+    files["<notjson>"] = root / "notjson.json"
+    files["<notjson>"].write_text("{p: 7")
+    files["<missing>"] = root / "missing.json"
+    return {token: str(path) for token, path in files.items()}
+
+
+@st.composite
+def argvs(draw, command, victim):
+    argv = [command]
+    for flag, (valid, hostile) in FLAGS[command].items():
+        if flag != victim:
+            argv += [flag, draw(st.sampled_from(valid) if isinstance(valid, list) else valid)]
+        elif draw(st.integers(0, 3)):  # left out 1 time in 4
+            argv += [flag, draw(hostile)]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "command, victim", [(cmd, flag) for cmd, flags in FLAGS.items() for flag in (None, *flags)]
+)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_generated_argv_exit_codes(command, victim, data, argv_files):
+    argv = data.draw(argvs(command, victim))
+    for token, path in argv_files.items():
+        argv = [arg.replace(token, path) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    set_budget(10**5)  # heavy paths stop with BudgetExceeded rather than run for minutes
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(argv)
+    finally:
+        set_budget(None)
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_empty_ladder_report(tmp_path):

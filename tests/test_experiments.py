@@ -172,6 +172,8 @@ def test_weil_examples():
         weil_corollary_check(ctx13, 1, 1, (0, 1))
     with pytest.raises(ValueError):
         weil_corollary_check(ctx13, 2, 2, (0, 1))  # wrong point count
+    with pytest.raises(ValueError):
+        weil_corollary_check(ctx13, 2, 0, ())  # no factors: modulus 1 against bound 0
 
 
 def test_weil_random_configurations():
@@ -243,8 +245,9 @@ def test_odd_primes_required():
 
     with pytest.raises(CompositeModulus):
         restricted_ap_experiment([9], 3, 2, fam, 1)
-    with pytest.raises(ValueError):
-        restricted_ap_experiment([11], 5, 2, fam, 1)  # m > 4
+    for m in (5, 0, -1):  # m outside 1..4
+        with pytest.raises(ValueError):
+            restricted_ap_experiment([11], m, 2, fam, 1)
 
 
 def test_fit_requires_three_positive_rows():
