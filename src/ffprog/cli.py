@@ -11,7 +11,7 @@ from pathlib import Path
 
 from . import counting, experiments
 from .counting import ProgressionSpec, exact_max_free_set, lambda_poly
-from .errors import BoundViolation, FFProgError, IoFailure, ParseError
+from .errors import BoundViolation, FFProgError, IoFailure, MalformedFixture, ParseError
 from .experiments import SweepReport, TrialFunctionFamily, greedy_free_set
 from .field import make_field
 from .harmonic import FpFunction, gowers_direct, gowers_fast
@@ -167,7 +167,10 @@ def _load_fixture(path: str) -> FpFunction:
         text = Path(path).read_text()
     except OSError as exc:
         raise _UsageError(f"cannot read fixture {path}: {exc}") from exc
-    return FpFunction.from_json(text)
+    try:
+        return FpFunction.from_json(text)
+    except MalformedFixture as exc:
+        raise MalformedFixture(f"{path}: {exc}") from exc
 
 
 def _cmd_gowers(args: argparse.Namespace) -> int:

@@ -407,16 +407,18 @@ def exact_max_free_set(
     p = ctx.p
     if p > cap:
         raise BudgetExceeded(f"p={p} exceeds search cap {cap}")
-    instances = _instance_masks(spec, p)
-    incident: list[list[int]] = [[] for _ in range(p)]
-    for mask in instances:
-        for e in range(p):
-            if mask >> e & 1:
-                incident[e].append(mask & ~(1 << e))
+    # Elements join in ascending order, so adding e can only close an instance
+    # whose largest point is e: file each instance under its top bit.
+    closing: list[list[int]] = [[] for _ in range(p)]
+    for mask in _instance_masks(spec, p):
+        top = mask.bit_length() - 1
+        closing[top].append(mask & ~(1 << top))
 
     def can_add(current: int, e: int) -> bool:
-        new = current | 1 << e
-        return all(other & new != other for other in incident[e])
+        for other in closing[e]:
+            if other & current == other:
+                return False
+        return True
 
     best_size = 0
     best_mask = 0

@@ -53,7 +53,12 @@ class PrincipalCharacter(FFProgError):
 
 
 class DegenerateConfiguration(FFProgError):
-    """All sample points coincide."""
+    """The sample points make the character's argument a k-th power.
+
+    This happens when, for every point b, its count among b_1..b_r minus its
+    count among b_{r+1}..b_{2r} is divisible by gcd(k, p - 1), e.g. when all
+    points coincide. The Weil bound does not apply then.
+    """
 
 
 class BoundViolation(FFProgError):

@@ -16,6 +16,7 @@ import numpy as np
 from .budget import charge
 from .counting import (
     ProgressionSpec,
+    config_offsets,
     find_progression,
     lambda_ap,
     lambda_ap_weighted,
@@ -313,8 +314,13 @@ def weil_corollary_check(ctx: FieldCtx, k: int, r: int, points) -> tuple[float, 
     bs = [int(b) % p for b in points]
     if len(bs) != 2 * r:
         raise ValueError(f"need 2r={2 * r} points, got {len(bs)}")
-    if len(set(bs)) == 1:
-        raise DegenerateConfiguration("all sample points coincide")
+    # n(b): multiplicity of x - b in the numerator minus that in the denominator
+    n = {b: bs[:r].count(b) - bs[r:].count(b) for b in bs}
+    if all(nb % kk == 0 for nb in n.values()):
+        raise DegenerateConfiguration(
+            "the points make the rational function a k-th power "
+            f"(every multiplicity difference is divisible by {kk})"
+        )
     chi = mult_character(ctx, kk)
     x = np.arange(p, dtype=np.int64)
     prod_left = np.ones(p, dtype=np.int64)
@@ -383,10 +389,14 @@ def greedy_free_set(ctx: FieldCtx, spec: ProgressionSpec, seed: int) -> tuple[li
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(p, 0x67EE))
     rng = np.random.Generator(np.random.Philox(ss))
     order = rng.permutation(p)
+    # bits stays progression-free, so an instance in bits + {e} has e in some slot j:
+    # rel[j][i][y] is where slot i sits, relative to e, when slot j is at e (y != 0).
+    offsets = np.stack(config_offsets(spec, p))[:, 1:]
+    rel = (offsets[None, :, :] - offsets[:, None, :]) % p
     bits = np.zeros(p, dtype=bool)
     for e in order:
         bits[e] = True
-        if find_progression(bits, spec) is not None:
+        if bits[(rel + e) % p].all(axis=1).any():
             bits[e] = False
     assert find_progression(bits, spec) is None
     elements = [int(e) for e in np.flatnonzero(bits)]

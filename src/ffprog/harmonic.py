@@ -59,7 +59,10 @@ class FpFunction:
 
     @staticmethod
     def from_json(text: str, ctx: FieldCtx | None = None) -> "FpFunction":
-        obj = json.loads(text)
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise MalformedFixture(f"fixture is not JSON: {exc}") from exc
         try:
             p, real, imag = int(obj["p"]), obj["re"], obj["im"]
         except (KeyError, TypeError) as exc:

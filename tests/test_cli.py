@@ -97,6 +97,13 @@ def test_weil_command(capsys):
     assert main(["weil", "--p", "4", "--k", "2", "--r", "1", "--points", "0,1"]) == 1
 
 
+def test_weil_kth_power_configuration_is_usage_error(capsys):
+    # x^2 / (x-1)^2 is a square: outside the corollary, not a failed bound
+    assert main(["weil", "--p", "101", "--k", "2", "--r", "2", "--points", "0,0,1,1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "DegenerateConfiguration" in captured.err
+
+
 def test_gowers_and_lambda_commands(tmp_path, capsys):
     ctx = make_field(11)
     rng = np.random.default_rng(0)
@@ -242,6 +249,19 @@ def test_gowers_malformed_fixture(fixture, detail, tmp_path, capsys):
     assert main(["gowers", "--fixture", str(path)]) == 1
     err = capsys.readouterr().err
     assert "MalformedFixture" in err and detail in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["{p: 7", "", json.dumps({"p": 7, "re": [0.0] * 7})],
+    ids=["not-json", "empty", "no-im"],
+)
+def test_malformed_fixture_names_path(text, tmp_path, capsys):
+    path = tmp_path / "nj.json"
+    path.write_text(text)
+    assert main(["gowers", "--fixture", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"MalformedFixture: {path}: " in err and "Traceback" not in err
 
 
 def test_usage_errors_exit_1(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -350,13 +351,25 @@ def test_exact_max_free_set_cap():
         exact_max_free_set(make_field(37), ProgressionSpec(3))
 
 
+def _smallest_max_free_set(spec, p):
+    """Scan subsets of F_p, largest first and each size in lexicographic order."""
+    for size in range(p, -1, -1):
+        for members in itertools.combinations(range(p), size):
+            if find_progression(list(members), spec, p=p) is None:
+                return size, list(members)
+
+
 def test_exact_max_free_set_matches_bruteforce():
-    spec = ProgressionSpec(3, (monomial(3), monomial(4)))
-    for p in (3, 5, 7):
-        ctx = make_field(p)
-        best = 0
-        for bits in range(1 << p):
-            members = [i for i in range(p) if bits >> i & 1]
-            if find_progression(members, spec, p=p) is None:
-                best = max(best, len(members))
-        assert exact_max_free_set(ctx, spec)[0] == best
+    for text in ("m=3;P=y^3,y^4", "m=3", "m=4", "m=1;P=y^3", "m=2;P=-y^2+2y^3"):
+        spec = parse_progression_spec(text)
+        for p in (3, 5, 7, 11):
+            expected = _smallest_max_free_set(spec, p)
+            assert exact_max_free_set(make_field(p), spec) == expected, (text, p)
+
+
+def test_exact_max_free_set_golden_sets():
+    # the sets the freeset benchmark workload checks
+    size, elements = exact_max_free_set(make_field(31), ProgressionSpec(3))
+    assert size == 8 and elements == [0, 1, 3, 4, 9, 10, 12, 13]
+    size, elements = exact_max_free_set(make_field(23), parse_progression_spec("m=3;P=y^3,y^4"))
+    assert size == 10 and elements == [0, 1, 3, 4, 6, 9, 11, 17, 18, 21]

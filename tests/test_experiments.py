@@ -176,6 +176,30 @@ def test_weil_examples():
         weil_corollary_check(ctx13, 2, 0, ())  # no factors: modulus 1 against bound 0
 
 
+@pytest.mark.parametrize(
+    "p, k, r, points",
+    [
+        (101, 2, 2, (0, 0, 1, 1)),  # x^2 / (x-1)^2
+        (101, 2, 2, (0, 1, 1, 0)),  # x(x-1) / (x-1)x = 1
+        (13, 3, 3, (0, 0, 0, 1, 1, 1)),  # x^3 / (x-1)^3, chi of order 3
+        (101, 4, 1, (5, 5)),  # all points coincide
+    ],
+)
+def test_weil_rejects_kth_power_configurations(p, k, r, points):
+    with pytest.raises(DegenerateConfiguration):
+        weil_corollary_check(make_field(p), k, r, points)
+
+
+def test_weil_repeated_points_outside_kth_powers():
+    # repeated points whose multiplicity differences are not all divisible by gcd(k, p-1)
+    _, _, holds = weil_corollary_check(make_field(101), 2, 2, (0, 0, 1, 2))
+    assert holds
+    _, _, holds = weil_corollary_check(make_field(101), 2, 3, (0, 0, 0, 1, 1, 1))
+    assert holds
+    _, _, holds = weil_corollary_check(make_field(13), 4, 2, (0, 0, 1, 1))
+    assert holds
+
+
 def test_weil_random_configurations():
     rng = np.random.default_rng(2024)
     for p in (13, 101):
@@ -227,6 +251,45 @@ def test_greedy_free_set_polynomial_spec():
     spec = parse_progression_spec("m=1;P=y^3")
     elements, _ = greedy_free_set(ctx, spec, seed=9)
     assert find_progression(elements, spec, p=11) is None
+
+
+def _greedy_by_full_rescan(spec, p, seed):
+    """The greedy definition: accept e iff bits + {e} holds no instance (full rescan)."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(p, 0x67EE))
+    order = np.random.Generator(np.random.Philox(ss)).permutation(p)
+    bits = np.zeros(p, dtype=bool)
+    for e in order:
+        bits[e] = True
+        if find_progression(bits, spec) is not None:
+            bits[e] = False
+    return [int(e) for e in np.flatnonzero(bits)]
+
+
+def _completes_instance(spec, p, members, e):
+    """Pure Python: does members + {e} hold an instance (y != 0) through e?"""
+    inside = set(members) | {e}
+    for y in range(1, p):
+        offs = [j * y % p for j in range(spec.m)] + [P.eval_mod(y, p) for P in spec.polys]
+        for off in offs:
+            x = e - off
+            if all((x + o) % p in inside for o in offs):
+                return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "text", ["m=3", "m=4", "m=1;P=y^3", "m=2;P=-y^2+2y^3", "m=3;P=y^3,y^4"]
+)
+def test_greedy_free_set_matches_full_rescan(text):
+    spec = parse_progression_spec(text)
+    for p in (11, 13, 29, 101):
+        ctx = make_field(p)
+        for seed in range(4):
+            elements, _ = greedy_free_set(ctx, spec, seed)
+            assert elements == _greedy_by_full_rescan(spec, p, seed), (p, seed)
+            # maximal: every residue left out would complete an instance
+            left_out = sorted(set(range(p)) - set(elements))
+            assert all(_completes_instance(spec, p, elements, e) for e in left_out), (p, seed)
 
 
 def test_bound_violation_carries_report():

@@ -7,6 +7,7 @@ import pytest
 from ffprog import (
     BudgetExceeded,
     FpFunction,
+    MalformedFixture,
     additive_char,
     constant,
     fourier,
@@ -218,3 +219,8 @@ def test_json_round_trip():
     assert np.abs(g.values - f.values).max() < 1e-15
     obj = json.loads(f.to_json())
     assert set(obj) == {"p", "re", "im"} and len(obj["re"]) == 11
+
+
+def test_from_json_rejects_non_json():
+    with pytest.raises(MalformedFixture, match="not JSON"):
+        FpFunction.from_json("{p: 7")
