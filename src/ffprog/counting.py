@@ -26,7 +26,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .budget import get_budget
 from .errors import (
@@ -38,7 +37,7 @@ from .errors import (
     ParseError,
 )
 from .field import FieldCtx
-from .harmonic import FpFunction, _require_same_ctx
+from .harmonic import FpFunction, _require_same_ctx, _shift_rows
 
 # Largest modulus for which int64 Horner products cannot overflow (p^2 < 2^63).
 _MAX_VECTOR_MODULUS = 3_037_000_499
@@ -211,8 +210,8 @@ def _warn_on_degree_collapse(spec: ProgressionSpec, p: int) -> None:
 
 def _chunk_products(fs, offsets, p: int, y_weight=None):
     """Yield prod_j f_j(x + offsets[j](y)) [* y_weight(y)] in (y, x) blocks; offsets in [0, p)."""
-    # Row j of a window over f's doubled values is f(x + j), so each slot is a row gather.
-    windows = [sliding_window_view(np.concatenate([f.values, f.values]), p) for f in fs]
+    # Row j of a shift view is f(x + j), so each slot is a row gather.
+    windows = [_shift_rows(f.values) for f in fs]
     chunk = max(1, (1 << 21) // p)
     for y0 in range(0, p, chunk):
         y1 = min(y0 + chunk, p)
@@ -250,9 +249,13 @@ def lambda_ap(fs) -> complex:
 
 def lambda_ap_weighted(fs, y_weight) -> complex:
     """lambda_ap with the y-average weighted by y_weight (e.g. a residue-set indicator)."""
+    if not fs:
+        raise ValueError("need at least one function")
     ctx = _require_same_ctx(fs)
     spec = ProgressionSpec(m=len(fs))
     weight = np.asarray(y_weight, dtype=np.complex128)
+    if weight.shape != (ctx.p,):
+        raise ContextMismatch(f"y_weight has shape {weight.shape}, expected ({ctx.p},)")
     return _product_mean(fs, config_offsets(spec, ctx.p), ctx.p, y_weight=weight)
 
 

@@ -192,6 +192,19 @@ def _checked_primes(primes) -> list[int]:
     return sorted(out)
 
 
+def _error_sweep(label: str, ladder, trials: int, seed: int, errors) -> SweepReport:
+    """Median/max rows per prime of the `trials` errors that `errors(ctx)` yields, plus a decay fit."""
+    rows: list[SweepRow] = []
+    medians: list[tuple[int, float]] = []
+    for p in ladder:
+        errs = np.fromiter(errors(make_field(p)), dtype=float, count=trials)
+        med = float(np.median(errs))
+        rows.append(SweepRow(p, "median_error", med, trials, seed))
+        rows.append(SweepRow(p, "max_error", float(errs.max()), trials, seed))
+        medians.append((p, med))
+    return SweepReport(spec=label, rows=rows, fit=fit_decay(medians))
+
+
 def discorrelation_sweep(
     primes, spec: ProgressionSpec, family: TrialFunctionFamily, trials: int
 ) -> SweepReport:
@@ -201,23 +214,13 @@ def discorrelation_sweep(
     n = spec.total_points
     for p in ladder:
         charge(p * p * n * trials, f"discorrelation_sweep(p={p})")
-    rows: list[SweepRow] = []
-    medians: list[tuple[int, float]] = []
-    for p in ladder:
-        ctx = make_field(p)
-        errs = np.empty(trials)
+
+    def errors(ctx):
         for t in range(trials):
-            fs = [family.generate(ctx, t, j) for j in range(n)]
-            errs[t] = discorrelation_error(ctx, spec, fs)
-        med = float(np.median(errs))
-        rows.append(SweepRow(p, "median_error", med, trials, family.seed))
-        rows.append(SweepRow(p, "max_error", float(errs.max()), trials, family.seed))
-        medians.append((p, med))
-    return SweepReport(
-        spec=f"{counting.render_progression_spec(spec)} | {family.label()}",
-        rows=rows,
-        fit=fit_decay(medians),
-    )
+            yield discorrelation_error(ctx, spec, [family.generate(ctx, t, j) for j in range(n)])
+
+    label = f"{counting.render_progression_spec(spec)} | {family.label()}"
+    return _error_sweep(label, ladder, trials, family.seed, errors)
 
 
 def counterexample_demo(ctx: FieldCtx, a: int) -> tuple[float, float]:
@@ -354,28 +357,16 @@ def restricted_ap_experiment(
     ladder = _checked_primes(primes)
     for p in ladder:
         charge(p * p * m * trials, f"restricted_ap_experiment(p={p})")
-    rows: list[SweepRow] = []
-    medians: list[tuple[int, float]] = []
-    for p in ladder:
-        ctx = make_field(p)
-        kp = math.gcd(k, p - 1)
+
+    def errors(ctx):
+        kp = math.gcd(k, ctx.p - 1)
         weight = kth_power_residues(ctx, k).elements.astype(np.float64)
-        errs = np.empty(trials)
         for t in range(trials):
-            f = family.generate(ctx, t, 0)
-            fs = [f] * m
-            lhs = lambda_ap_weighted(fs, weight)
-            rhs = lambda_ap(fs) / kp
-            errs[t] = abs(lhs - rhs)
-        med = float(np.median(errs))
-        rows.append(SweepRow(p, "median_error", med, trials, family.seed))
-        rows.append(SweepRow(p, "max_error", float(errs.max()), trials, family.seed))
-        medians.append((p, med))
-    return SweepReport(
-        spec=f"restricted AP m={m} k={k} | {family.label()}",
-        rows=rows,
-        fit=fit_decay(medians),
-    )
+            fs = [family.generate(ctx, t, 0)] * m
+            yield abs(lambda_ap_weighted(fs, weight) - lambda_ap(fs) / kp)
+
+    label = f"restricted AP m={m} k={k} | {family.label()}"
+    return _error_sweep(label, ladder, trials, family.seed, errors)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ coefficient at alpha is E_x f(x) e_p(alpha x) with e_p(t) = exp(2*pi*i*t/p).
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .budget import charge
 from .errors import ContextMismatch, MalformedFixture
@@ -64,17 +66,22 @@ class FpFunction:
         except json.JSONDecodeError as exc:
             raise MalformedFixture(f"fixture is not JSON: {exc}") from exc
         try:
-            p, real, imag = int(obj["p"]), obj["re"], obj["im"]
+            p, real, imag = obj["p"], obj["re"], obj["im"]
         except (KeyError, TypeError) as exc:
             raise MalformedFixture(f"fixture is not an object with p, re, im: {exc!r}") from exc
+        # JSON reads 3.9, 1e400 and NaN as floats and true as a bool, none of them a modulus
+        if type(p) is not int:
+            raise MalformedFixture(f"fixture p must be an integer, got {p!r}")
+        if ctx is not None and ctx.p != p:
+            raise ContextMismatch(f"fixture has p={p}, context has p={ctx.p}")
+        shapes = [(len(v),) if isinstance(v, list) else () for v in (real, imag)]
+        if shapes != [(p,), (p,)]:
+            raise MalformedFixture(f"fixture has p={p} but re shape {shapes[0]}, im {shapes[1]}")
+        if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in real + imag):
+            raise MalformedFixture("fixture re and im must hold finite numbers")
         if ctx is None:
             ctx = make_field(p)
-        elif ctx.p != p:
-            raise ContextMismatch(f"fixture has p={p}, context has p={ctx.p}")
-        real, imag = np.asarray(real, dtype=float), np.asarray(imag, dtype=float)
-        if real.shape != (p,) or imag.shape != (p,):
-            raise MalformedFixture(f"fixture has p={p} but re shape {real.shape}, im {imag.shape}")
-        return FpFunction(ctx, real + 1j * imag)
+        return FpFunction(ctx, np.asarray(real, dtype=float) + 1j * np.asarray(imag, dtype=float))
 
 
 def constant(ctx: FieldCtx, c: complex = 1.0) -> FpFunction:
@@ -108,9 +115,6 @@ class Spectrum:
 
     ctx: FieldCtx
     coeffs: np.ndarray
-
-    def l4(self) -> float:
-        return float((np.abs(self.coeffs) ** 4).sum() ** 0.25)
 
 
 @lru_cache(maxsize=64)
@@ -188,31 +192,40 @@ def mult_derivative(f: FpFunction, h: int) -> FpFunction:
     return FpFunction(f.ctx, vals, bounded=f.bounded)
 
 
+def _nested_derivatives(values: np.ndarray, t: int):
+    """Yield Delta_{h_1..h_t} of the values for every t-tuple, in lexicographic order."""
+    for tup in itertools.product(range(len(values)), repeat=t):
+        d = values
+        for h in tup:
+            d = np.roll(d, -h) * np.conjugate(d)
+        yield d
+
+
+def _shift_rows(values: np.ndarray) -> np.ndarray:
+    """A read-only view whose row j (of the last two axes) is x -> values(x + j)."""
+    p = values.shape[-1]
+    return sliding_window_view(np.concatenate([values, values], axis=-1), p, axis=-1)
+
+
 def _gowers_box_average(values: np.ndarray, s: int) -> float:
     """E_{x,h_1..h_s} of the conjugation-alternating product over {0,1}^s corners.
 
-    The last h runs on a vectorized axis (chunked to cap memory); the leading
-    s-1 run in a Python loop.
+    With d = Delta_{h_1..h_{s-2}} f and D[a, x] = d(x+a) conj d(x), the sum over
+    the last two h and x is sum_{a,b,x} D[a, x+b] conj D[a, x]; s = 1 is sum D.
     """
     p = len(values)
-    conj_values = np.conjugate(values)
-    corners = list(itertools.product((0, 1), repeat=s))
-    x = np.arange(p, dtype=np.int64)
-    chunk = max(1, (1 << 21) // p)
+    # D is built a few rows of a at a time, so the (a, b, x) temporary stays near 2^16
+    # entries (p^2 once p > 256) and the oracle's peak memory stays small at any s
+    rows = max(1, (1 << 16) // (p * p))
     acc = 0.0 + 0j
-    for prefix in itertools.product(range(p), repeat=s - 1):
-        corner_arrays = []  # (is_2d, base-rolled 1D source) per corner
-        for w in corners:
-            base = sum(wi * hi for wi, hi in zip(w[:-1], prefix)) % p
-            src = values if sum(w) % 2 == 0 else conj_values
-            corner_arrays.append((bool(w[-1]), np.roll(src, -base)))
-        for h0 in range(0, p, chunk):
-            hs = np.arange(h0, min(h0 + chunk, p), dtype=np.int64)
-            grid = (hs[:, None] + x[None, :]) % p  # rolled[grid] = src(x + h + base)
-            term = np.ones((len(hs), p), dtype=np.complex128)
-            for moves_with_h, rolled in corner_arrays:
-                term *= rolled[grid] if moves_with_h else rolled[None, :]
-            acc += term.sum()
+    for d in _nested_derivatives(values, max(s - 2, 0)):
+        shifted, conj_d = _shift_rows(d)[:p], np.conjugate(d)
+        for a0 in range(0, p, rows):
+            D = shifted[a0 : a0 + rows] * conj_d
+            if s == 1:
+                acc += D.sum()
+            else:
+                acc += (_shift_rows(D)[:, :p] * np.conjugate(D)[:, None, :]).sum()
     return float((acc / p ** (s + 1)).real)
 
 
@@ -242,13 +255,8 @@ def gowers_fast(f: FpFunction, s: int) -> float:
     p = f.p
     logp = max(1, math.ceil(math.log2(p)))
     charge(p ** (s - 1) * logp, f"gowers_fast(s={s}, p={p})")
-    if s == 2:
-        return _u2_fourth_power(f.values) ** 0.25
     acc = 0.0
-    for tup in itertools.product(range(p), repeat=s - 2):
-        d = f.values
-        for h in tup:
-            d = np.roll(d, -h) * np.conjugate(d)
+    for d in _nested_derivatives(f.values, s - 2):
         acc += _u2_fourth_power(d)
     return (acc / p ** (s - 2)) ** (1.0 / (1 << s))
 

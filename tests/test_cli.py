@@ -16,6 +16,7 @@ from ffprog import (
     make_field,
     set_budget,
 )
+from ffprog import harmonic
 from ffprog.cli import DEFAULT_SEED, main, parse_spec, render_spec
 from ffprog.counting import parse_progression_spec, render_progression_spec
 
@@ -251,17 +252,39 @@ def test_gowers_malformed_fixture(fixture, detail, tmp_path, capsys):
     assert "MalformedFixture" in err and detail in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["{p: 7", "", json.dumps({"p": 7, "re": [0.0] * 7})],
-    ids=["not-json", "empty", "no-im"],
-)
-def test_malformed_fixture_names_path(text, tmp_path, capsys):
+def _fixture_text(p, re="[0.5, 0.5, 0.5]", im=None):
+    return f'{{"p": {p}, "re": {re}, "im": {im or re}}}'
+
+
+MALFORMED_FIXTURES = {
+    "not-json": "{p: 7",
+    "empty": "",
+    "no-im": json.dumps({"p": 7, "re": [0.0] * 7}),
+    "p-overflows": _fixture_text("1e400", "[]"),
+    "p-string": _fixture_text('"x"'),
+    "p-nan": _fixture_text("NaN"),
+    "p-fraction": _fixture_text("3.9"),
+    "p-bool": _fixture_text("true", "[0.5]"),
+    "re-string": _fixture_text(3, '["a", 0.5, 0.5]', "[0.5, 0.5, 0.5]"),
+    "re-nan": _fixture_text(3, "[NaN, 0.5, 0.5]", "[0.5, 0.5, 0.5]"),
+    "re-overflows": _fixture_text(3, "[1e400, 0.5, 0.5]", "[0.5, 0.5, 0.5]"),
+    "im-bool": _fixture_text(3, "[0.5, 0.5, 0.5]", "[true, 0.5, 0.5]"),
+    "re-nested": _fixture_text(3, "[[0.5], [0.5], [0.5]]", "[0.5, 0.5, 0.5]"),
+    "huge-p": _fixture_text(1000000007, "[]"),
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_FIXTURES.values(), ids=MALFORMED_FIXTURES.keys())
+def test_malformed_fixture_names_path(text, tmp_path, capsys, monkeypatch):
+    # every check runs before the field tables exist: a huge p must not allocate them
+    fields = []
+    monkeypatch.setattr(harmonic, "make_field", fields.append)
     path = tmp_path / "nj.json"
     path.write_text(text)
     assert main(["gowers", "--fixture", str(path)]) == 1
     err = capsys.readouterr().err
     assert f"MalformedFixture: {path}: " in err and "Traceback" not in err
+    assert fields == []
 
 
 def test_usage_errors_exit_1(capsys):
@@ -308,7 +331,10 @@ SEED = (["0", "7"], INT)
 TRIALS = (["1", "3"], INT)
 FORMAT = (["json", "csv", "pretty"], st.just("xml"))
 OUTPUT = (["<out>"], st.just("<nodir>"))
-FIXTURE = st.sampled_from(["<f7>", "<f11>", "<bad>", "<notjson>", "<missing>"])
+BAD_VALUES = ["p-overflows", "p-string", "p-nan", "p-fraction", "re-string", "re-nan"]
+FIXTURE = st.sampled_from(
+    ["<f7>", "<f11>", "<bad>", "<notjson>", "<missing>", *(f"<{name}>" for name in BAD_VALUES)]
+)
 
 FLAGS = {
     "gowers": {
@@ -388,6 +414,9 @@ def argv_files(tmp_path_factory):
     files["<notjson>"] = root / "notjson.json"
     files["<notjson>"].write_text("{p: 7")
     files["<missing>"] = root / "missing.json"
+    for name in BAD_VALUES:
+        files[f"<{name}>"] = root / f"{name}.json"
+        files[f"<{name}>"].write_text(MALFORMED_FIXTURES[name])
     return {token: str(path) for token, path in files.items()}
 
 

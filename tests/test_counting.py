@@ -284,6 +284,18 @@ def test_restricted_equals_weighted_residue_count():
     assert abs(lhs - (2 * weighted + boundary)) < 1e-12
 
 
+def test_lambda_ap_weighted_needs_a_function():
+    with pytest.raises(ValueError, match="need at least one function"):
+        lambda_ap_weighted([], np.ones(7))
+
+
+@pytest.mark.parametrize("length", [6, 8])
+def test_lambda_ap_weighted_weight_shape(length):
+    ctx = make_field(7)
+    with pytest.raises(ContextMismatch, match=r"shape \(%d,\), expected \(7,\)" % length):
+        lambda_ap_weighted([unimodular(ctx, 1)] * 3, np.ones(length))
+
+
 def test_restricted_unrestricted_equal_when_k1():
     ctx = make_field(11)
     sysspec = LinearSystemSpec(d=2, forms=((1, 0), (1, 1)), powers=(1, 1))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -154,6 +155,40 @@ def test_monotonicity_and_cross_strategy():
             assert u2 <= u3 + 2e-9
             assert abs(u3 - gowers_fast(f, 3)) < 1e-7
             assert abs(u2 - gowers_fast(f, 2)) < 1e-9
+
+
+def _corner_sum_average(values, s):
+    """E_{x, h in F_p^s} prod_{w in {0,1}^s} C^{|w|} f(x + w.h), one term at a time."""
+    p = len(values)
+    corners = list(itertools.product((0, 1), repeat=s))
+    total = 0j
+    for x in range(p):
+        for h in itertools.product(range(p), repeat=s):
+            term = 1 + 0j
+            for w in corners:
+                v = complex(values[(x + sum(wi * hi for wi, hi in zip(w, h))) % p])
+                term *= v.conjugate() if sum(w) % 2 else v
+            total += term
+    return total.real / p ** (s + 1)
+
+
+@pytest.mark.parametrize(
+    "p, s", [(p, s) for p in (2, 3, 5) for s in (1, 2, 3, 4)] + [(7, s) for s in (1, 2, 3)]
+)
+def test_gowers_direct_matches_corner_sum(p, s):
+    # s = 4 is the first order with two nested derivatives ahead of the (a, b, x) block;
+    # compared as 2^s-th powers, the averages themselves, which no root amplifies near 0
+    ctx = make_field(p)
+    rng = np.random.default_rng(10 * p + s)
+    amplitude = FpFunction(ctx, rng.random(p) * np.exp(2j * np.pi * rng.random(p)), bounded=True)
+    for f in (random_unimodular(ctx, p + s), amplitude):
+        assert abs(gowers_direct(f, s) ** (1 << s) - _corner_sum_average(f.values, s)) < 1e-12
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_gowers_fast_matches_direct_u4(p):
+    f = random_unimodular(make_field(p), 40 + p)
+    assert abs(gowers_fast(f, 4) - gowers_direct(f, 4)) < 1e-12
 
 
 def test_derivative_recursion():
