@@ -39,6 +39,7 @@ from .errors import (
     OrderDoesNotDivide,
     ParseError,
     PrincipalCharacter,
+    UsageError,
     ZeroPhase,
 )
 from .experiments import (

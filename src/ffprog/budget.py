@@ -5,9 +5,10 @@ The FFPROG_BUDGET environment variable overrides the default; an explicit
 set_budget() overrides both (pass None to fall back again).
 """
 
+import contextlib
 import os
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, UsageError
 
 DEFAULT_BUDGET = 10**9
 ENV_VAR = "FFPROG_BUDGET"
@@ -18,17 +19,18 @@ _override: int | None = None
 def set_budget(value: int | None) -> None:
     global _override
     if value is not None and value <= 0:
-        raise ValueError("budget must be positive")
+        raise UsageError("budget must be positive")
     _override = value
 
 
 def get_budget() -> int:
     if _override is not None:
         return _override
-    raw = os.environ.get(ENV_VAR)
-    if raw is not None:
-        return int(raw)
-    return DEFAULT_BUDGET
+    raw = os.environ.get(ENV_VAR, str(DEFAULT_BUDGET))
+    with contextlib.suppress(ValueError):
+        if int(raw) > 0:
+            return int(raw)
+    raise UsageError(f"{ENV_VAR} must be a positive integer, got {raw!r}")
 
 
 def charge(terms: int, what: str) -> None:

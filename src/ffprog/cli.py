@@ -5,13 +5,14 @@ own math check fails (bound violation, contract breach).
 """
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
 
 from . import counting, experiments
 from .counting import ProgressionSpec, exact_max_free_set, lambda_poly
-from .errors import BoundViolation, FFProgError, IoFailure, MalformedFixture, ParseError
+from .errors import BoundViolation, FFProgError, IoFailure, MalformedFixture, UsageError
 from .experiments import SweepReport, TrialFunctionFamily, greedy_free_set
 from .field import make_field
 from .harmonic import FpFunction, gowers_direct, gowers_fast
@@ -19,21 +20,15 @@ from .harmonic import FpFunction, gowers_direct, gowers_fast
 DEFAULT_SEED = 0xF1E1D  # documented fixed default
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; 2 is reserved here for failed math checks
     def error(self, message):
-        raise _UsageError(message)
+        raise UsageError(message)
 
 
+# argparse turns a flag parser's ValueError or ArgumentTypeError into an error naming the flag
 def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok != "")
-    except ValueError as exc:
-        raise _UsageError(f"expected comma-separated integers, got {text!r}") from exc
+    return tuple(int(tok) for tok in text.split(",") if tok != "")
 
 
 def _path_list(text: str) -> tuple[str, ...]:
@@ -41,13 +36,21 @@ def _path_list(text: str) -> tuple[str, ...]:
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise _UsageError(f"expected a positive integer, got {text!r}")
-    return value
+    with contextlib.suppress(ValueError):  # int() syntax: '+5' and ' 5' pass
+        if int(text) >= 1:
+            return int(text)
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
+def _seed(text: str) -> int:
+    with contextlib.suppress(ValueError):
+        if int(text) >= 0:
+            return int(text)
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
+def _order(text: str) -> int | str:
+    return text if text == "all" else int(text)
 
 
 def parse_spec(text: str) -> ProgressionSpec:
@@ -91,7 +94,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--density", type=float, default=0.5)
     sp.add_argument("--a", type=int, default=None)
     sp.add_argument("--trials", type=_positive_int, default=20)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sp.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     common_output(sp)
 
     sp = sub.add_parser("counterexample", help="degree-condition failure demo")
@@ -103,7 +106,9 @@ def build_parser() -> _Parser:
     sp.set_defaults(run=_cmd_chardecay)
     sp.add_argument("--primes", type=_int_list, required=True)
     sp.add_argument("--s", type=int, default=2)
-    sp.add_argument("--k", default="all", help="character order, or 'all' for every divisor")
+    sp.add_argument(
+        "--k", type=_order, default="all", help="character order, or 'all' for every divisor"
+    )
     common_output(sp)
 
     sp = sub.add_parser("weil", help="character sum against the 2r/sqrt(p) bound")
@@ -120,7 +125,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--density", type=float, default=0.5)
     sp.add_argument("--trials", type=_positive_int, default=20)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sp.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     common_output(sp)
 
     sp = sub.add_parser("search", help="progression-free set search")
@@ -128,16 +133,11 @@ def build_parser() -> _Parser:
     sp.add_argument("--spec", required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--mode", choices=("exact", "greedy"), default="exact")
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sp.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     sp.add_argument("--cap", type=int, default=31)
     common_output(sp, ("json", "pretty"))
 
     return parser
-
-
-def _family(args: argparse.Namespace) -> TrialFunctionFamily:
-    kind = args.family.replace("-", "_")
-    return TrialFunctionFamily(kind=kind, seed=args.seed, density=args.density, a=args.a)
 
 
 def emit(report: SweepReport, fmt: str, path: str | None) -> None:
@@ -164,12 +164,10 @@ def _write(data: str, path: str | None) -> None:
 
 def _load_fixture(path: str) -> FpFunction:
     try:
-        text = Path(path).read_text()
+        return FpFunction.from_json(Path(path).read_text())
     except OSError as exc:
-        raise _UsageError(f"cannot read fixture {path}: {exc}") from exc
-    try:
-        return FpFunction.from_json(text)
-    except MalformedFixture as exc:
+        raise UsageError(f"cannot read fixture {path}: {exc}") from exc
+    except (UnicodeDecodeError, MalformedFixture) as exc:
         raise MalformedFixture(f"{path}: {exc}") from exc
 
 
@@ -190,7 +188,9 @@ def _cmd_lambda(args: argparse.Namespace) -> int:
 
 def _cmd_discorrelate(args: argparse.Namespace) -> int:
     spec = parse_spec(args.spec)
-    report = experiments.discorrelation_sweep(args.primes, spec, _family(args), args.trials)
+    kind = args.family.replace("-", "_")
+    family = TrialFunctionFamily(kind=kind, seed=args.seed, density=args.density, a=args.a)
+    report = experiments.discorrelation_sweep(args.primes, spec, family, args.trials)
     emit(report, args.format, args.output)
     return 0
 
@@ -206,9 +206,8 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
 
 
 def _cmd_chardecay(args: argparse.Namespace) -> int:
-    orders = args.k if args.k == "all" else int(args.k)
     try:
-        report = experiments.character_norm_decay(args.primes, args.s, orders)
+        report = experiments.character_norm_decay(args.primes, args.s, args.k)
     except BoundViolation as exc:
         if exc.report is not None:
             emit(exc.report, args.format, args.output)
@@ -260,21 +259,9 @@ def main(argv=None) -> int:
         return args.run(args)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ParseError as exc:
-        print(f"spec parse error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except BoundViolation as exc:
-        print(f"bound violation: {exc}", file=sys.stderr)
-        return 2
     except FFProgError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, BoundViolation) else 1
 
 
 def entry() -> None:

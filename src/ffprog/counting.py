@@ -35,12 +35,10 @@ from .errors import (
     IndexOutOfRange,
     InvalidSpec,
     ParseError,
+    UsageError,
 )
-from .field import FieldCtx
+from .field import _MAX_VECTOR_MODULUS, FieldCtx
 from .harmonic import FpFunction, _require_same_ctx, _shift_rows
-
-# Largest modulus for which int64 Horner products cannot overflow (p^2 < 2^63).
-_MAX_VECTOR_MODULUS = 3_037_000_499
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,7 @@ class IntPolynomial:
     def values_mod(self, p: int) -> np.ndarray:
         """P(y) mod p for all y in F_p at once."""
         if p > _MAX_VECTOR_MODULUS:
-            raise ValueError(f"p={p} too large for int64 vectorized evaluation")
+            raise UsageError(f"p={p} too large for int64 vectorized evaluation")
         ys = np.arange(p, dtype=np.int64)
         acc = np.zeros(p, dtype=np.int64)
         for c in reversed(self.coeffs):
@@ -97,7 +95,7 @@ class ProgressionSpec:
 
     def __post_init__(self):
         if self.m < 1:
-            raise ValueError("m must be >= 1")
+            raise UsageError("m must be >= 1")
         object.__setattr__(self, "polys", tuple(self.polys))
 
     @property
@@ -243,14 +241,14 @@ def lambda_poly(spec: ProgressionSpec, fs) -> complex:
 def lambda_ap(fs) -> complex:
     """Normalized m-term AP count: E_{x,y} prod_j f_j(x + j y)."""
     if not fs:
-        raise ValueError("need at least one function")
+        raise UsageError("need at least one function")
     return lambda_poly(ProgressionSpec(m=len(fs)), fs)
 
 
 def lambda_ap_weighted(fs, y_weight) -> complex:
     """lambda_ap with the y-average weighted by y_weight (e.g. a residue-set indicator)."""
     if not fs:
-        raise ValueError("need at least one function")
+        raise UsageError("need at least one function")
     ctx = _require_same_ctx(fs)
     spec = ProgressionSpec(m=len(fs))
     weight = np.asarray(y_weight, dtype=np.complex128)
@@ -292,22 +290,22 @@ class LinearSystemSpec:
         object.__setattr__(self, "forms", forms)
         object.__setattr__(self, "powers", powers)
         if len(powers) != self.d:
-            raise ValueError("need one power per variable")
+            raise UsageError("need one power per variable")
         if any(k < 1 for k in powers):
-            raise ValueError("powers must be >= 1")
+            raise UsageError("powers must be >= 1")
         for row in forms:
             if len(row) != self.d:
-                raise ValueError("each form needs d coefficients")
+                raise UsageError("each form needs d coefficients")
             if not any(row):
-                raise ValueError("zero linear form")
+                raise UsageError("zero linear form")
         for a, b in itertools.combinations(forms, 2):
             if all(a[i] * b[j] == a[j] * b[i] for i in range(self.d) for j in range(self.d)):
-                raise ValueError(f"forms {a} and {b} are linearly dependent")
+                raise UsageError(f"forms {a} and {b} are linearly dependent")
         for j, k in enumerate(powers):
             if k > 1:
                 for row in forms:
                     if row[j] != 0 and all(c == 0 for i, c in enumerate(row) if i != j):
-                        raise ValueError(
+                        raise UsageError(
                             f"form {row} is a multiple of x_{j + 1}, which has power {k} > 1"
                         )
 
@@ -319,7 +317,7 @@ class LinearSystemSpec:
 def lambda_linear(sys_spec: LinearSystemSpec, fs, restricted: bool) -> complex:
     """E_{x_1..x_d} prod_i f_i(L_i(...)); restricted substitutes x_j^{k_j} for x_j."""
     if sys_spec.d > 3:
-        raise ValueError("d <= 3 enforced (cost p^d)")
+        raise UsageError("d <= 3 enforced (cost p^d)")
     if len(fs) != sys_spec.num_forms:
         raise ContextMismatch(f"expected {sys_spec.num_forms} functions, got {len(fs)}")
     ctx = _require_same_ctx(fs)
@@ -351,7 +349,7 @@ def as_bitset(A, p: int) -> np.ndarray:
     arr = np.asarray(A)
     if arr.dtype == bool:
         if arr.shape != (p,):
-            raise ValueError(f"bitset must have length {p}")
+            raise UsageError(f"bitset must have length {p}")
         return arr
     out = np.zeros(p, dtype=bool)
     for x in np.atleast_1d(arr):
@@ -368,7 +366,7 @@ def find_progression(A, spec: ProgressionSpec, p: int | None = None):
     if p is None:
         arr = np.asarray(A)
         if arr.dtype != bool:
-            raise ValueError("pass p explicitly when A is not a boolean bitset")
+            raise UsageError("pass p explicitly when A is not a boolean bitset")
         p = len(arr)
     bits = as_bitset(A, p)
     offsets = config_offsets(spec, p)
@@ -454,9 +452,10 @@ def _parse_int(text: str, pos: int) -> tuple[int, int]:
     start = pos
     while pos < len(text) and text[pos].isdigit():
         pos += 1
-    if pos == start:
-        raise ParseError("expected integer", start)
-    return int(text[start:pos]), pos
+    try:
+        return int(text[start:pos]), pos
+    except ValueError:  # no digits, a digit int() does not read ('²'), or past the digit limit
+        raise ParseError("expected integer", start) from None
 
 
 def _parse_term(text: str, pos: int) -> tuple[int, int, int]:

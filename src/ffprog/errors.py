@@ -5,6 +5,10 @@ class FFProgError(Exception):
     """Base class for all library errors."""
 
 
+class UsageError(FFProgError, ValueError):
+    """An argument, flag or setting is malformed or out of range."""
+
+
 class CompositeModulus(FFProgError):
     """The requested modulus is not prime."""
 

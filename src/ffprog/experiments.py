@@ -30,6 +30,7 @@ from .errors import (
     DegenerateConfiguration,
     OddModulusRequired,
     PrincipalCharacter,
+    UsageError,
     ZeroPhase,
 )
 from .field import FieldCtx, is_prime, kth_power_residues, make_field, mult_character
@@ -132,7 +133,7 @@ class TrialFunctionFamily:
 
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
-            raise ValueError(f"unknown family kind {self.kind!r}")
+            raise UsageError(f"unknown family kind {self.kind!r}")
 
     def _rng(self, p: int, trial: int, slot: int) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(p, trial, slot))
@@ -152,7 +153,7 @@ class TrialFunctionFamily:
         else:  # character_phase
             orders = [k for k in range(2, p) if (p - 1) % k == 0]
             if not orders:
-                raise ValueError(f"p={p} has no nonprincipal character")
+                raise UsageError(f"p={p} has no nonprincipal character")
             k = orders[int(rng.integers(0, len(orders)))]
             vals = mult_character(ctx, k).values
         return FpFunction(ctx, vals, bounded=True)
@@ -270,22 +271,24 @@ def character_norm_decay(primes, s: int, orders="all") -> SweepReport:
     Rows also record the headline bound 2 p^{-2^{-(s+1)}}.
     """
     if s not in (2, 3):
-        raise ValueError("s must be 2 or 3")
-    ladder = _checked_primes(primes)
-    rows: list[SweepRow] = []
-    norm_points: list[tuple[int, float]] = []
-    violations: list[str] = []
-    for p in ladder:
-        ctx = make_field(p)
+        raise UsageError("s must be 2 or 3")
+    plan: list[tuple[int, list[int]]] = []
+    for p in _checked_primes(primes):
+        # one U^s evaluation costs p^{s-1} log p; charge every prime before any table is built,
+        # and one evaluation's worth before the O(p) scan for the divisors of p - 1
+        cost = p ** (s - 1) * max(1, math.ceil(math.log2(p)))
+        charge(cost, f"character_norm_decay(p={p})")
         if orders == "all":
             ks = [k for k in range(1, p) if (p - 1) % k == 0]
         else:
             ks = [math.gcd(int(orders), p - 1)]
-        # one U^s evaluation costs p^{s-1} log p; charge the whole prime up front
-        charge(
-            len(ks) * p ** (s - 1) * max(1, math.ceil(math.log2(p))),
-            f"character_norm_decay(p={p})",
-        )
+        charge(len(ks) * cost, f"character_norm_decay(p={p})")
+        plan.append((p, ks))
+    rows: list[SweepRow] = []
+    norm_points: list[tuple[int, float]] = []
+    violations: list[str] = []
+    for p, ks in plan:
+        ctx = make_field(p)
         for k in ks:
             if k == 1:
                 rows.append(SweepRow(p, f"U{s}[k=1] skipped (principal)", 0.0, 0, 0))
@@ -309,14 +312,14 @@ def character_norm_decay(primes, s: int, orders="all") -> SweepReport:
 def weil_corollary_check(ctx: FieldCtx, k: int, r: int, points) -> tuple[float, float, bool]:
     """|E_x chi((x-b_1)..(x-b_r)) conj(chi)((x-b_{r+1})..(x-b_{2r}))| against 2r p^{-1/2}."""
     if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+        raise UsageError(f"r must be >= 1, got {r}")
     p = ctx.p
     kk = math.gcd(int(k), p - 1)
     if kk == 1:
         raise PrincipalCharacter(f"k={k} reduces to the principal character mod {p}")
     bs = [int(b) % p for b in points]
     if len(bs) != 2 * r:
-        raise ValueError(f"need 2r={2 * r} points, got {len(bs)}")
+        raise UsageError(f"need 2r={2 * r} points, got {len(bs)}")
     # n(b): multiplicity of x - b in the numerator minus that in the denominator
     n = {b: bs[:r].count(b) - bs[r:].count(b) for b in bs}
     if all(nb % kk == 0 for nb in n.values()):
@@ -351,9 +354,9 @@ def restricted_ap_experiment(
     | E prod 1_A(x+jy) 1_{Q_k}(y) - (1/k') E prod 1_A(x+jy) |, k' = gcd(k, p-1).
     """
     if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+        raise UsageError(f"m must be >= 1, got {m}")
     if m > 4:
-        raise ValueError("m <= 4 enforced (cost p^2 m per trial)")
+        raise UsageError("m <= 4 enforced (cost p^2 m per trial)")
     ladder = _checked_primes(primes)
     for p in ladder:
         charge(p * p * m * trials, f"restricted_ap_experiment(p={p})")

@@ -5,7 +5,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CompositeModulus, OrderDoesNotDivide
+from .errors import CompositeModulus, OrderDoesNotDivide, UsageError
+
+# Largest modulus for which int64 products of two residues cannot overflow (p^2 < 2^63).
+_MAX_VECTOR_MODULUS = 3_037_000_499
 
 # Deterministic Miller-Rabin witnesses, valid for every n < 3.3e24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -14,7 +17,7 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_WITNESSES:
         if n == q:
             return True
         if n % q == 0:
@@ -84,6 +87,8 @@ class FieldCtx:
 
 def make_field(p: int) -> FieldCtx:
     p = int(p)
+    if p > _MAX_VECTOR_MODULUS:
+        raise UsageError(f"p={p} is above {_MAX_VECTOR_MODULUS}, the int64 limit of the tables")
     if p < 2 or not is_prime(p):
         raise CompositeModulus(f"{p} is not prime")
     g = smallest_primitive_root(p)
@@ -103,10 +108,6 @@ class ResidueClass:
     k: int
     elements: np.ndarray
 
-    @property
-    def reduced_order(self) -> int:
-        return math.gcd(self.k, self.p - 1)
-
     def __contains__(self, x: int) -> bool:
         return bool(self.elements[x % self.p])
 
@@ -117,7 +118,7 @@ class ResidueClass:
 def kth_power_residues(ctx: FieldCtx, k: int) -> ResidueClass:
     """Q_k = {x^k : x in F_p^x}, built from the subgroup generated by g^gcd(k, p-1)."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise UsageError("k must be >= 1")
     p = ctx.p
     d = math.gcd(k, p - 1)
     elements = np.zeros(p, dtype=bool)
@@ -153,7 +154,7 @@ def mult_character(ctx: FieldCtx, k: int) -> MultCharacter:
     Requires k | p-1; normalize with gcd(k, p-1) first if needed.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise UsageError("k must be >= 1")
     p = ctx.p
     if (p - 1) % k != 0:
         raise OrderDoesNotDivide(f"k={k} does not divide p-1={p - 1}")

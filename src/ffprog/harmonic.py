@@ -15,7 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .budget import charge
-from .errors import ContextMismatch, MalformedFixture
+from .errors import ContextMismatch, MalformedFixture, UsageError
 from .field import FieldCtx, make_field
 
 BOUND_TOL = 1e-12
@@ -36,9 +36,9 @@ class FpFunction:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.complex128)
         if vals.shape != (self.ctx.p,):
-            raise ValueError(f"expected {self.ctx.p} values, got shape {vals.shape}")
+            raise UsageError(f"expected {self.ctx.p} values, got shape {vals.shape}")
         if self.bounded and np.abs(vals).max(initial=0.0) > 1.0 + BOUND_TOL:
-            raise ValueError("bounded flag set but sup|f| > 1")
+            raise UsageError("bounded flag set but sup|f| > 1")
         vals = vals.copy()
         vals.flags.writeable = False
         self.values = vals
@@ -63,7 +63,7 @@ class FpFunction:
     def from_json(text: str, ctx: FieldCtx | None = None) -> "FpFunction":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also: too many digits, deep nesting
             raise MalformedFixture(f"fixture is not JSON: {exc}") from exc
         try:
             p, real, imag = obj["p"], obj["re"], obj["im"]
@@ -164,7 +164,7 @@ def fourier(f: FpFunction, strategy: str = "fast") -> Spectrum:
     elif strategy == "fast":
         sums = _dft_sum_fast(f.values)
     else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+        raise UsageError(f"unknown strategy {strategy!r}")
     return Spectrum(f.ctx, sums / f.p)
 
 
@@ -175,7 +175,7 @@ def norms(f: FpFunction, s: float) -> tuple[float, float]:
         m = float(a.max())
         return m, m
     if s < 1:
-        raise ValueError("s must be >= 1 or infinity")
+        raise UsageError("s must be >= 1 or infinity")
     powered = a**s
     return float(powered.mean() ** (1.0 / s)), float(powered.sum() ** (1.0 / s))
 
@@ -232,7 +232,7 @@ def _gowers_box_average(values: np.ndarray, s: int) -> float:
 def gowers_direct(f: FpFunction, s: int) -> float:
     """U^s norm by direct averaging over s-dimensional parallelepipeds, cost O(p^{s+1})."""
     if s < 1:
-        raise ValueError("s must be >= 1")
+        raise UsageError("s must be >= 1")
     charge(f.p ** (s + 1), f"gowers_direct(s={s}, p={f.p})")
     avg = _gowers_box_average(f.values, s)
     # roundoff can leave a tiny negative; the average is provably nonnegative
@@ -251,7 +251,7 @@ def gowers_fast(f: FpFunction, s: int) -> float:
     ||Delta_{h_1..h_{s-2}} f||_{U^2}^4 over all tuples, cost O(p^{s-1} log p).
     """
     if s < 2:
-        raise ValueError("gowers_fast needs s >= 2")
+        raise UsageError("gowers_fast needs s >= 2")
     p = f.p
     logp = max(1, math.ceil(math.log2(p)))
     charge(p ** (s - 1) * logp, f"gowers_fast(s={s}, p={p})")

@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 import ffprog
-from ffprog import BudgetExceeded, get_budget, set_budget
-from ffprog.budget import DEFAULT_BUDGET, charge
+from ffprog import BudgetExceeded, UsageError, get_budget, set_budget
+from ffprog.budget import DEFAULT_BUDGET, ENV_VAR, charge
 
 
 def test_default_budget():
@@ -39,6 +39,20 @@ def test_env_var_override(monkeypatch):
         set_budget(None)
 
 
+@pytest.mark.parametrize("raw", ["abc", "", "0", "-5", "1e9", "9" * 5000])
+def test_env_var_must_be_positive_integer(raw, monkeypatch):
+    monkeypatch.setenv(ENV_VAR, raw)
+    with pytest.raises(UsageError, match="FFPROG_BUDGET must be a positive integer"):
+        get_budget()
+    with pytest.raises(UsageError):
+        charge(1, "test")
+
+
+def test_env_var_keeps_int_syntax(monkeypatch):
+    monkeypatch.setenv(ENV_VAR, " +5000 ")
+    assert get_budget() == 5000
+
+
 def test_env_var_reaches_cli():
     # a gowers direct call that fits the default budget but not a tiny one
     code = (
@@ -53,7 +67,12 @@ def test_env_var_reaches_cli():
     pythonpath = os.pathsep.join([import_root, inherited] if inherited else [import_root])
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        env={"FFPROG_BUDGET": "100", "PATH": "/usr/bin:/bin", "PYTHONPATH": pythonpath},
+        env={
+            "FFPROG_BUDGET": "100",
+            "PATH": "/usr/bin:/bin",
+            "PYTHONPATH": pythonpath,
+            "PYTHONDONTWRITEBYTECODE": "1",
+        },
         capture_output=True,
         text=True,
     )

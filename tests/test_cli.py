@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffprog import (
+    BoundViolation,
     FpFunction,
     IntPolynomial,
     ParseError,
@@ -16,7 +17,7 @@ from ffprog import (
     make_field,
     set_budget,
 )
-from ffprog import harmonic
+from ffprog import experiments, harmonic
 from ffprog.cli import DEFAULT_SEED, main, parse_spec, render_spec
 from ffprog.counting import parse_progression_spec, render_progression_spec
 
@@ -47,6 +48,17 @@ def test_parse_spec_errors():
     for bad in ("", "m=0", "n=3", "m=3;P=", "m=3;P=y^", "m=3;P=y,,y", "m=3;Q=y", "m=3 ;P=y"):
         with pytest.raises(ParseError):
             parse_spec(bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["m=\u00b2", "m=3;P=\u00b2y", "m=" + "9" * 5000, "m=3;P=y^" + "9" * 5000],
+    ids=["superscript-m", "superscript-coeff", "m-5000-digits", "exponent-5000-digits"],
+)
+def test_parse_spec_rejects_integers_int_cannot_read(bad):
+    # superscript digits pass str.isdigit but not int(); 5000 digits pass Python's int limit
+    with pytest.raises(ParseError, match="expected integer"):
+        parse_spec(bad)
 
 
 def test_parse_terms():
@@ -271,6 +283,9 @@ MALFORMED_FIXTURES = {
     "im-bool": _fixture_text(3, "[0.5, 0.5, 0.5]", "[true, 0.5, 0.5]"),
     "re-nested": _fixture_text(3, "[[0.5], [0.5], [0.5]]", "[0.5, 0.5, 0.5]"),
     "huge-p": _fixture_text(1000000007, "[]"),
+    "p-5000-digits": _fixture_text("9" * 5000, "[]"),  # past Python's int-conversion limit
+    "binary": b"\x89PNG\r\n\x1a\n\xff",  # not UTF-8
+    "deep-nesting": "[" * 100_000,  # json.loads raises RecursionError
 }
 
 
@@ -280,11 +295,84 @@ def test_malformed_fixture_names_path(text, tmp_path, capsys, monkeypatch):
     fields = []
     monkeypatch.setattr(harmonic, "make_field", fields.append)
     path = tmp_path / "nj.json"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     assert main(["gowers", "--fixture", str(path)]) == 1
     err = capsys.readouterr().err
     assert f"MalformedFixture: {path}: " in err and "Traceback" not in err
     assert fields == []
+
+
+@pytest.mark.parametrize(
+    "cmd",
+    [
+        ["discorrelate", "--spec", "m=3", "--primes", "11", "--trials", "1"],
+        ["restricted-ap", "--primes", "11", "--k", "2", "--trials", "1"],
+        ["search", "--spec", "m=3", "--p", "11", "--mode", "greedy"],
+    ],
+)
+def test_seed_must_be_non_negative(cmd, capsys):
+    assert main(cmd + ["--seed", "-1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: UsageError: argument --seed: expected a non-negative integer, got '-1'"]
+
+
+@pytest.mark.parametrize(
+    "cmd",
+    [
+        ["counterexample", "--a", "1"],
+        ["weil", "--k", "2", "--r", "1", "--points", "0,1"],
+        ["search", "--spec", "m=3"],
+    ],
+)
+def test_modulus_past_int64_products_is_usage_error(cmd, capsys):
+    assert main(cmd + ["--p", str(2**61 - 1)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: UsageError: p=2305843009213693951 ")
+
+
+def test_integer_flags_keep_int_syntax(capsys):
+    cmd = ["restricted-ap", "--primes", "11", "--k", "2", "--trials", "+1", "--seed", " 0"]
+    assert main(cmd) == 0
+    capsys.readouterr()
+
+
+def test_chardecay_order_is_integer_or_all(capsys):
+    assert main(["chardecay", "--primes", "11", "--k", "x"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: UsageError: argument --k: ")
+
+
+def test_bad_budget_variable_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("FFPROG_BUDGET", "abc")
+    assert main(["chardecay", "--primes", "11"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    expected = "error: UsageError: FFPROG_BUDGET must be a positive integer, got 'abc'\n"
+    assert captured.err == expected
+
+
+def test_parse_error_names_type_and_offset(capsys):
+    assert main(["lambda", "--spec", "m=;P=y", "--fixtures", "unused.json"]) == 1
+    assert capsys.readouterr().err == "error: ParseError: expected integer (at offset 2)\n"
+
+
+def test_kernel_value_error_escapes_main(monkeypatch):
+    # only FFProgError is a refusal; any other ValueError is a bug and must not read as usage
+    def broken(*args):
+        raise ValueError("kernel bug")
+
+    monkeypatch.setattr(experiments, "character_norm_decay", broken)
+    with pytest.raises(ValueError, match="kernel bug"):
+        main(["chardecay", "--primes", "11"])
+
+
+def test_bound_violation_exits_2(monkeypatch, capsys):
+    def violated(*args):
+        raise BoundViolation("synthetic")
+
+    monkeypatch.setattr(experiments, "weil_corollary_check", violated)
+    assert main(["weil", "--p", "11", "--k", "2", "--r", "1", "--points", "0,1"]) == 2
+    assert capsys.readouterr().err == "error: BoundViolation: synthetic\n"
 
 
 def test_usage_errors_exit_1(capsys):

@@ -17,6 +17,7 @@ from ffprog import (
     dual_function,
     exact_max_free_set,
     find_progression,
+    fourier,
     gowers_fast,
     indicator,
     inner,
@@ -310,6 +311,21 @@ def test_lambda_ap_matches_linear_forms_across_chunks():
     sysspec = LinearSystemSpec(d=2, forms=((1, 0), (1, 1), (1, 2)), powers=(1, 1))
     fs = [unimodular(ctx, 80 + i) for i in range(3)]
     assert abs(lambda_ap(fs) - lambda_linear(sysspec, fs, restricted=False)) < 1e-12
+
+
+@pytest.mark.parametrize("p", [101, MULTI_CHUNK_P])
+def test_lambda_ap_matches_roth_identity(p):
+    # Lambda_3(f0, f1, f2) = sum_xi g0^(xi) g1^(-2 xi) g2^(xi), g^(xi) = E_x g(x) e_p(-xi x)
+    ctx = make_field(p)
+    rng = np.random.default_rng(p)
+    neg_xi = -np.arange(p) % p
+    for fs in (
+        [unimodular(ctx, p + i) for i in range(3)],
+        [indicator(ctx, np.flatnonzero(rng.random(p) < 0.5)) for _ in range(3)],
+    ):
+        g0, g1, g2 = (fourier(f).coeffs for f in fs)
+        roth = (g0[neg_xi] * g1[-2 * neg_xi % p] * g2[neg_xi]).sum()
+        assert abs(lambda_ap(fs) - roth) < 1e-12
 
 
 def test_lambda_linear_budget():

@@ -5,6 +5,7 @@ import pytest
 
 from ffprog import (
     BoundViolation,
+    BudgetExceeded,
     DegenerateConfiguration,
     FpFunction,
     InvalidSpec,
@@ -21,13 +22,18 @@ from ffprog import (
     discorrelation_sweep,
     exact_max_free_set,
     find_progression,
+    gowers_fast,
     greedy_free_set,
     make_field,
     monomial,
+    mult_character,
+    mult_derivative,
     parse_progression_spec,
     restricted_ap_experiment,
+    set_budget,
     weil_corollary_check,
 )
+from ffprog import experiments
 
 SPEC34 = ProgressionSpec(3, (monomial(3), monomial(4)))
 
@@ -157,6 +163,40 @@ def test_character_norm_order_normalization():
     assert any("k=4" in r.stat for r in rep.rows)
     rep = character_norm_decay([13], 2, 7)  # gcd(7, 12) = 1 -> principal, skipped
     assert all("skipped" in r.stat for r in rep.rows)
+
+
+def test_character_norm_decay_charges_before_building_fields(monkeypatch):
+    # p=101 at s=3 overshoots the budget, so no field table may be built, not even p=11's
+    built = []
+    monkeypatch.setattr(experiments, "make_field", lambda p: built.append(p) or make_field(p))
+    set_budget(10_000)
+    try:
+        with pytest.raises(BudgetExceeded, match="p=101"):
+            character_norm_decay([11, 101], 3)
+    finally:
+        set_budget(None)
+    assert built == []
+
+
+def test_character_norm_decay_huge_prime_is_refused_by_budget():
+    # one evaluation's charge comes before the O(p) scan for the divisors of p - 1
+    with pytest.raises(BudgetExceeded, match="p=2305843009213693951"):
+        character_norm_decay([2**61 - 1], 2)
+
+
+@pytest.mark.parametrize("p", [101, 211, 401, 809])
+def test_character_u3_matches_symmetry_route(p):
+    # Delta_{ah} chi(a x) = Delta_h chi(x) for a != 0, so ||Delta_h chi||_{U^2} only depends on
+    # whether h = 0: ||chi||_{U^3}^8 = (|| |chi|^2 ||_{U^2}^4 + (p-1) ||Delta_1 chi||_{U^2}^4) / p
+    ctx = make_field(p)
+    for k in range(2, p):
+        if (p - 1) % k:
+            continue
+        chi = FpFunction(ctx, mult_character(ctx, k).values, bounded=True)
+        abs_sq = FpFunction(ctx, np.abs(chi.values) ** 2, bounded=True)
+        u2_4 = [gowers_fast(g, 2) ** 4 for g in (abs_sq, mult_derivative(chi, 1))]
+        symmetric = (u2_4[0] + (p - 1) * u2_4[1]) / p
+        assert abs(gowers_fast(chi, 3) ** 8 - symmetric) < 1e-12, k
 
 
 def test_weil_examples():

@@ -6,6 +6,7 @@ import pytest
 from ffprog import (
     CompositeModulus,
     OrderDoesNotDivide,
+    UsageError,
     is_prime,
     kth_power_residues,
     make_field,
@@ -23,6 +24,13 @@ def test_make_field_examples():
         make_field(9)
     with pytest.raises(CompositeModulus):
         make_field(1)
+
+
+def test_make_field_rejects_moduli_past_int64_products():
+    # 2^61 - 1 is prime, but p^2 overflows int64 and numpy cannot hold its tables
+    assert is_prime(2**61 - 1)
+    with pytest.raises(UsageError, match="int64"):
+        make_field(2**61 - 1)
 
 
 def test_primitive_root_has_full_order():
