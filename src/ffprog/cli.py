@@ -1,4 +1,4 @@
-"""Command-line front end: parse specs, dispatch operations, emit reports.
+"""Command-line front end: parse specs, dispatch operations, write reports.
 
 Exit codes: 0 success, 1 usage/parse errors, 2 when a verification subcommand's
 own math check fails (bound violation, contract breach).
@@ -7,6 +7,7 @@ own math check fails (bound violation, contract breach).
 import argparse
 import contextlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -35,18 +36,18 @@ def _path_list(text: str) -> tuple[str, ...]:
     return tuple(tok for tok in text.split(",") if tok)
 
 
-def _positive_int(text: str) -> int:
-    with contextlib.suppress(ValueError):  # int() syntax: '+5' and ' 5' pass
-        if int(text) >= 1:
-            return int(text)
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+def _int_at_least(low: int, what: str):
+    def parse(text: str) -> int:
+        with contextlib.suppress(ValueError):  # int() syntax: '+5' and ' 5' pass
+            if int(text) >= low:
+                return int(text)
+        raise argparse.ArgumentTypeError(f"expected a {what} integer, got {text!r}")
+
+    return parse
 
 
-def _seed(text: str) -> int:
-    with contextlib.suppress(ValueError):
-        if int(text) >= 0:
-            return int(text)
-    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+_positive_int = _int_at_least(1, "positive")
+_seed = _int_at_least(0, "non-negative")
 
 
 def _order(text: str) -> int | str:
@@ -60,12 +61,12 @@ def parse_spec(text: str) -> ProgressionSpec:
     return spec
 
 
-def render_spec(spec: ProgressionSpec) -> str:
-    return counting.render_progression_spec(spec)
+render_spec = counting.render_progression_spec
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="ffprog", description=__doc__)
+    parser.set_defaults(format="pretty", output=None)  # for subcommands without these flags
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common_output(sp, formats=("json", "csv", "pretty")):
@@ -134,30 +135,22 @@ def build_parser() -> _Parser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--mode", choices=("exact", "greedy"), default="exact")
     sp.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-    sp.add_argument("--cap", type=int, default=31)
     common_output(sp, ("json", "pretty"))
 
     return parser
 
 
-def emit(report: SweepReport, fmt: str, path: str | None) -> None:
-    """Serialize a report; JSON/CSV are bit-exact, pretty is for humans only."""
-    if fmt == "json":
-        data = report.to_json()
-    elif fmt == "csv":
-        data = report.to_csv()
-    else:
-        data = report.to_pretty()
-    _write(data, path)
-
-
-def _write(data: str, path: str | None) -> None:
-    """Write to stdout, or to `path` if given; a failed write raises IoFailure."""
+def _write(output: str | SweepReport, args: argparse.Namespace) -> None:
+    """The only writer: a command's text, or a SweepReport in --format (JSON/CSV bit-exact,
+    pretty for humans), to stdout or --output; a failed write raises IoFailure."""
+    if isinstance(output, SweepReport):
+        output = {"json": output.to_json, "csv": output.to_csv}.get(args.format, output.to_pretty)()
     try:
-        if path is None:
-            sys.stdout.write(data)
+        if args.output is None:
+            sys.stdout.write(output)
+            sys.stdout.flush()
         else:
-            Path(path).write_text(data)
+            Path(args.output).write_text(output)
     except OSError as exc:
         raise IoFailure(f"cannot write report: {exc}") from exc
 
@@ -171,92 +164,80 @@ def _load_fixture(path: str) -> FpFunction:
         raise MalformedFixture(f"{path}: {exc}") from exc
 
 
-def _cmd_gowers(args: argparse.Namespace) -> int:
+def _cmd_gowers(args: argparse.Namespace) -> str:
     f = _load_fixture(args.fixture)
     value = gowers_direct(f, args.s) if args.strategy == "direct" else gowers_fast(f, args.s)
-    print(f"U^{args.s} = {value:.12g}")
-    return 0
+    return f"U^{args.s} = {value:.12g}\n"
 
 
-def _cmd_lambda(args: argparse.Namespace) -> int:
+def _cmd_lambda(args: argparse.Namespace) -> str:
     spec = parse_spec(args.spec)
     fs = [_load_fixture(path) for path in args.fixtures]
     value = lambda_poly(spec, fs)
-    print(f"lambda = {value.real:.12g}{value.imag:+.12g}i  |lambda| = {abs(value):.12g}")
-    return 0
+    return f"lambda = {value.real:.12g}{value.imag:+.12g}i  |lambda| = {abs(value):.12g}\n"
 
 
-def _cmd_discorrelate(args: argparse.Namespace) -> int:
+def _cmd_discorrelate(args: argparse.Namespace) -> SweepReport:
     spec = parse_spec(args.spec)
     kind = args.family.replace("-", "_")
     family = TrialFunctionFamily(kind=kind, seed=args.seed, density=args.density, a=args.a)
-    report = experiments.discorrelation_sweep(args.primes, spec, family, args.trials)
-    emit(report, args.format, args.output)
-    return 0
+    return experiments.discorrelation_sweep(args.primes, spec, family, args.trials)
 
 
-def _cmd_counterexample(args: argparse.Namespace) -> int:
+def _cmd_counterexample(args: argparse.Namespace) -> str:
     ctx = make_field(args.p)
     lhs, rhs = experiments.counterexample_demo(ctx, args.a)
-    print(f"lhs={lhs:.9f} rhs={rhs:.9f}")
+    line = f"lhs={lhs:.9f} rhs={rhs:.9f}\n"
     if abs(lhs - 1.0) > 1e-9 or rhs > 1e-12:
-        print("counterexample contract violated", file=sys.stderr)
-        return 2
-    return 0
+        raise BoundViolation("counterexample contract violated", report=line)
+    return line
 
 
-def _cmd_chardecay(args: argparse.Namespace) -> int:
-    try:
-        report = experiments.character_norm_decay(args.primes, args.s, args.k)
-    except BoundViolation as exc:
-        if exc.report is not None:
-            emit(exc.report, args.format, args.output)
-        print(f"bound violation: {exc}", file=sys.stderr)
-        return 2
-    emit(report, args.format, args.output)
-    return 0
+def _cmd_chardecay(args: argparse.Namespace) -> SweepReport:
+    return experiments.character_norm_decay(args.primes, args.s, args.k)
 
 
-def _cmd_weil(args: argparse.Namespace) -> int:
+def _cmd_weil(args: argparse.Namespace) -> str:
     ctx = make_field(args.p)
     modulus, bound, holds = experiments.weil_corollary_check(ctx, args.k, args.r, args.points)
-    print(f"modulus={modulus:.9f} bound={bound:.9f} holds={str(holds).lower()}")
-    return 0 if holds else 2
+    line = f"modulus={modulus:.9f} bound={bound:.9f} holds={str(holds).lower()}\n"
+    if not holds:
+        raise BoundViolation(f"|sum| = {modulus:.9f} exceeds 2r/sqrt(p) = {bound:.9f}", report=line)
+    return line
 
 
-def _cmd_restricted_ap(args: argparse.Namespace) -> int:
+def _cmd_restricted_ap(args: argparse.Namespace) -> SweepReport:
     family = TrialFunctionFamily(kind="random_indicator", seed=args.seed, density=args.density)
-    report = experiments.restricted_ap_experiment(args.primes, args.m, args.k, family, args.trials)
-    emit(report, args.format, args.output)
-    return 0
+    return experiments.restricted_ap_experiment(args.primes, args.m, args.k, family, args.trials)
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
+def _cmd_search(args: argparse.Namespace) -> str:
     spec = parse_spec(args.spec)
     ctx = make_field(args.p)
     if args.mode == "exact":
-        size, elements = exact_max_free_set(ctx, spec, cap=args.cap)
+        size, elements = exact_max_free_set(ctx, spec)
         density = size / ctx.p
     else:
         elements, density = greedy_free_set(ctx, spec, args.seed)
         size = len(elements)
     if args.format == "json":
-        data = json.dumps(
-            {"p": ctx.p, "mode": args.mode, "size": size, "density": density, "set": elements},
-            sort_keys=True,
-        ) + "\n"
-    else:
-        data = f"p={ctx.p} mode={args.mode} size={size} density={density:.6f}\n"
-        data += "set: " + " ".join(map(str, elements)) + "\n"
-    _write(data, args.output)
-    return 0
+        result = {"p": ctx.p, "mode": args.mode, "size": size, "density": density, "set": elements}
+        return json.dumps(result, sort_keys=True) + "\n"
+    listing = " ".join(map(str, elements))
+    return f"p={ctx.p} mode={args.mode} size={size} density={density:.6f}\nset: {listing}\n"
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.run(args)
+        args = build_parser().parse_args(argv)
+        try:
+            output = args.run(args)
+        except BoundViolation as exc:  # the output built before the failed check still goes out
+            if exc.report is not None:
+                _write(exc.report, args)
+            raise
+        _write(output, args)
+        return 0
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
     except FFProgError as exc:
@@ -265,7 +246,12 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:  # the IoFailure is on stderr; drop the unwritten rest so exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

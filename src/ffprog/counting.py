@@ -16,6 +16,7 @@ Spec string grammar (the single source of truth for configurations):
 
 e.g. "m=3;P=y^3,y^4", "m=3;P=2y^4+y^3", "m=4". The optional leading "-" is a
 strict extension of the base grammar so every integer polynomial is renderable.
+An exponent may not exceed MAX_EXPONENT.
 """
 
 import itertools
@@ -27,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .budget import get_budget
+from .budget import charge, get_budget
 from .errors import (
     BudgetExceeded,
     ContextMismatch,
@@ -39,6 +40,10 @@ from .errors import (
 )
 from .field import _MAX_VECTOR_MODULUS, FieldCtx
 from .harmonic import FpFunction, _require_same_ctx, _shift_rows
+
+# Largest spec exponent: polynomials are dense coefficient tuples, and tabulating y^d mod p
+# costs about d * p steps (degree 10^4 at p = 10007: ~0.5 s on a 2-vCPU Xeon VM).
+MAX_EXPONENT = 10**4
 
 
 @dataclass(frozen=True)
@@ -408,6 +413,7 @@ def exact_max_free_set(
     p = ctx.p
     if p > cap:
         raise BudgetExceeded(f"p={p} exceeds search cap {cap}")
+    charge(p * (p - 1) * spec.total_points, f"exact_max_free_set(p={p})")  # the instance table
     # Elements join in ascending order, so adding e can only close an instance
     # whose largest point is e: file each instance under its top bit.
     closing: list[list[int]] = [[] for _ in range(p)]
@@ -421,8 +427,6 @@ def exact_max_free_set(
                 return False
         return True
 
-    best_size = 0
-    best_mask = 0
     if not can_add(0, 0):
         # {0} already forbidden; by translation invariance so is every singleton
         return 0, []
@@ -467,7 +471,10 @@ def _parse_term(text: str, pos: int) -> tuple[int, int, int]:
         pos += 1
         exponent = 1
         if pos < len(text) and text[pos] == "^":
-            exponent, pos = _parse_int(text, pos + 1)
+            exponent, end = _parse_int(text, pos + 1)
+            if exponent > MAX_EXPONENT:
+                raise ParseError(f"exponent exceeds {MAX_EXPONENT}", pos + 1)
+            pos = end
         return (1 if coeff is None else coeff), exponent, pos
     if coeff is None:
         raise ParseError("expected term (integer or 'y')", pos)

@@ -68,7 +68,8 @@ class DegenerateConfiguration(FFProgError):
 class BoundViolation(FFProgError):
     """A theorem-backed numerical bound failed.
 
-    `report` (if set) is the SweepReport assembled up to the failure.
+    `report` (if set) is the output assembled up to the failure: a SweepReport,
+    or a command's text.
     """
 
     def __init__(self, message: str, report=None):

@@ -251,7 +251,8 @@ def counterexample_demo(ctx: FieldCtx, a: int) -> tuple[float, float]:
     for x0 in range(0, p, chunk):
         x = t[x0 : min(x0 + chunk, p), None]
         total = (q0[x] + q1[(x + y) % p] + q2[(x + 2 * y) % p] + (x + y * y % p)) % p
-        assert not total.any(), "phase cancellation identity failed"
+        if total.any():
+            raise BoundViolation("phase cancellation identity failed")
     fs = [FpFunction(ctx, ctx.twiddle[a * q % p], bounded=True) for q in (q0, q1, q2, q3)]
     spec = ProgressionSpec(m=3, polys=(monomial(2),))
     lhs = abs(lambda_poly(spec, fs))
@@ -380,6 +381,8 @@ def greedy_free_set(ctx: FieldCtx, spec: ProgressionSpec, seed: int) -> tuple[li
     """Randomized greedy progression-free set; deterministic for a fixed seed."""
     require_valid(spec)
     p = ctx.p
+    n = spec.total_points
+    charge(p * n * n * (p - 1), f"greedy_free_set(p={p})")  # the gathers through rel, below
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(p, 0x67EE))
     rng = np.random.Generator(np.random.Philox(ss))
     order = rng.permutation(p)
@@ -392,6 +395,8 @@ def greedy_free_set(ctx: FieldCtx, spec: ProgressionSpec, seed: int) -> tuple[li
         bits[e] = True
         if bits[(rel + e) % p].all(axis=1).any():
             bits[e] = False
-    assert find_progression(bits, spec) is None
+    witness = find_progression(bits, spec)
+    if witness is not None:
+        raise BoundViolation(f"greedy set contains the instance (x, y) = {witness}")
     elements = [int(e) for e in np.flatnonzero(bits)]
     return elements, len(elements) / p

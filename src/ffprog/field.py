@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CompositeModulus, OrderDoesNotDivide, UsageError
+from .errors import BoundViolation, CompositeModulus, OrderDoesNotDivide, UsageError
 
 # Largest modulus for which int64 products of two residues cannot overflow (p^2 < 2^63).
 _MAX_VECTOR_MODULUS = 3_037_000_499
@@ -127,11 +127,11 @@ def kth_power_residues(ctx: FieldCtx, k: int) -> ResidueClass:
     for _ in range((p - 1) // d):
         elements[x] = True
         x = x * step % p
-    if __debug__:
-        direct = np.zeros(p, dtype=bool)
-        for y in range(1, p):
-            direct[pow(y, k, p)] = True
-        assert np.array_equal(elements, direct), "Q_k != Q_gcd(k,p-1)"
+    direct = np.zeros(p, dtype=bool)
+    for y in range(1, p):
+        direct[pow(y, k, p)] = True
+    if not np.array_equal(elements, direct):
+        raise BoundViolation(f"Q_{k} mod {p} from the powers of g^{d} differs from the x^{k} scan")
     elements.flags.writeable = False
     return ResidueClass(p=p, k=k, elements=elements)
 

@@ -1,11 +1,8 @@
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import ffprog
 from ffprog import BudgetExceeded, UsageError, get_budget, set_budget
 from ffprog.budget import DEFAULT_BUDGET, ENV_VAR, charge
 
@@ -53,26 +50,16 @@ def test_env_var_keeps_int_syntax(monkeypatch):
     assert get_budget() == 5000
 
 
-def test_env_var_reaches_cli():
+def test_env_var_reaches_cli(child_env):
     # a gowers direct call that fits the default budget but not a tiny one
     code = (
         "import ffprog as fp\n"
         "f = fp.constant(fp.make_field(11))\n"
         "fp.gowers_direct(f, 3)\n"
     )
-    # the child imports the same ffprog as this process, however it was
-    # made importable (checkout via PYTHONPATH, editable or normal install)
-    import_root = str(Path(ffprog.__file__).resolve().parent.parent)
-    inherited = os.environ.get("PYTHONPATH")
-    pythonpath = os.pathsep.join([import_root, inherited] if inherited else [import_root])
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        env={
-            "FFPROG_BUDGET": "100",
-            "PATH": "/usr/bin:/bin",
-            "PYTHONPATH": pythonpath,
-            "PYTHONDONTWRITEBYTECODE": "1",
-        },
+        env={**child_env, "FFPROG_BUDGET": "100"},
         capture_output=True,
         text=True,
     )

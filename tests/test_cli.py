@@ -19,7 +19,8 @@ from ffprog import (
 )
 from ffprog import experiments, harmonic
 from ffprog.cli import DEFAULT_SEED, main, parse_spec, render_spec
-from ffprog.counting import parse_progression_spec, render_progression_spec
+from ffprog.counting import MAX_EXPONENT, parse_progression_spec, render_progression_spec
+from ffprog.experiments import SweepReport, SweepRow
 
 
 # --- spec grammar ----------------------------------------------------------
@@ -45,9 +46,17 @@ def test_parse_spec_errors():
     with pytest.raises(ParseError) as info:
         parse_spec("m=;P=y")
     assert info.value.position == 2
-    for bad in ("", "m=0", "n=3", "m=3;P=", "m=3;P=y^", "m=3;P=y,,y", "m=3;Q=y", "m=3 ;P=y"):
+    for bad in (
+        "", "m=0", "n=3", "m=3;P=", "m=3;P=y^", "m=3;P=y,,y", "m=3;Q=y", "m=3 ;P=y",
+        "m=3;P=y^99999999999999999999",
+    ):
         with pytest.raises(ParseError):
             parse_spec(bad)
+    # an exponent past MAX_EXPONENT is refused at its offset, before any coefficient tuple
+    with pytest.raises(ParseError, match=f"exponent exceeds {MAX_EXPONENT}") as info:
+        parse_progression_spec("m=3;P=y^2+y^99999999999999999999")
+    assert info.value.position == 12
+    assert parse_progression_spec(f"m=3;P=y^{MAX_EXPONENT}").polys[0].degree == MAX_EXPONENT
 
 
 @pytest.mark.parametrize(
@@ -375,6 +384,116 @@ def test_bound_violation_exits_2(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: BoundViolation: synthetic\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--spec", "m=99999999999", "--p", "7", "--mode", "exact"],
+        ["--spec", "m=99999999999", "--p", "7", "--mode", "greedy"],
+        ["--spec", "m=9999", "--p", "13", "--mode", "greedy"],
+    ],
+    ids=["huge-m-exact", "huge-m-greedy", "m-9999-greedy"],
+)
+def test_search_charges_before_building_tables(argv, capsys):
+    # both searches are metered before config_offsets, which would hang or exhaust memory
+    assert main(["search", *argv]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: BudgetExceeded: ")
+
+
+def test_search_has_no_cap_flag(capsys):
+    assert main(["search", "--spec", "m=3", "--p", "7", "--cap", "31"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: UsageError: unrecognized arguments: --cap 31\n"
+
+
+# --- one writer, one verdict -------------------------------------------------
+
+# one quick, successful command line per subcommand; <f> is a fixture over F_7
+COMMANDS = {
+    "gowers": ["gowers", "--fixture", "<f>"],
+    "lambda": ["lambda", "--spec", "m=3", "--fixtures", "<f>,<f>,<f>"],
+    "discorrelate": ["discorrelate", "--spec", "m=3", "--primes", "11", "--trials", "1"],
+    "counterexample": ["counterexample", "--p", "7", "--a", "1"],
+    "chardecay": ["chardecay", "--primes", "11"],
+    "weil": ["weil", "--p", "11", "--k", "2", "--r", "1", "--points", "0,1"],
+    "restricted-ap": ["restricted-ap", "--primes", "11", "--k", "2", "--trials", "1"],
+    "search": ["search", "--spec", "m=3", "--p", "7"],
+}
+
+
+class _FullStdout(io.StringIO):
+    def write(self, data):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_failed_stdout_write_is_io_failure(command, tmp_path):
+    fixture = tmp_path / "f.json"
+    fixture.write_text(FpFunction(make_field(7), np.ones(7), bounded=True).to_json())
+    argv = [arg.replace("<f>", str(fixture)) for arg in COMMANDS[command]]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert main(argv) == 0
+    assert out.getvalue() and err.getvalue() == ""
+    err = io.StringIO()
+    with redirect_stdout(_FullStdout()), redirect_stderr(err):
+        assert main(argv) == 1
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1
+    assert lines[0] == "error: IoFailure: cannot write report: [Errno 28] No space left on device"
+
+
+PARTIAL = SweepReport(spec="partial", rows=[SweepRow(11, "U2[k=2] norm", 0.5, 1, 0)])
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+def test_chardecay_violation_writes_partial_report(fmt, to_file, monkeypatch, tmp_path, capsys):
+    def violated(*args):
+        raise BoundViolation("synthetic", report=PARTIAL)
+
+    monkeypatch.setattr(experiments, "character_norm_decay", violated)
+    path = tmp_path / "report.txt"
+    argv = ["chardecay", "--primes", "11", "--format", fmt]
+    assert main(argv + (["--output", str(path)] if to_file else [])) == 2
+    captured = capsys.readouterr()
+    expected = {"json": PARTIAL.to_json, "csv": PARTIAL.to_csv, "pretty": PARTIAL.to_pretty}[fmt]()
+    assert (path.read_text() if to_file else captured.out) == expected
+    assert captured.out == ("" if to_file else expected)
+    assert captured.err == "error: BoundViolation: synthetic\n"
+
+
+def _one_violation_line(captured) -> None:
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: BoundViolation: ")
+    assert "Traceback" not in captured.err
+
+
+def test_weil_violation_keeps_its_line(monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "weil_corollary_check", lambda *args: (0.5, 0.1, False))
+    assert main(COMMANDS["weil"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "modulus=0.500000000 bound=0.100000000 holds=false\n"
+    _one_violation_line(captured)
+
+
+def test_counterexample_violation_keeps_its_line(monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "counterexample_demo", lambda *args: (0.5, 0.1))
+    assert main(COMMANDS["counterexample"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "lhs=0.500000000 rhs=0.100000000\n"
+    assert captured.err == "error: BoundViolation: counterexample contract violated\n"
+
+
+def test_greedy_closing_check_is_a_violation(monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "find_progression", lambda *args: (0, 1))
+    assert main(["search", "--spec", "m=3", "--p", "11", "--mode", "greedy"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _one_violation_line(captured)
+
+
 def test_usage_errors_exit_1(capsys):
     assert main([]) == 1
     assert main(["frobnicate"]) == 1
@@ -480,7 +599,6 @@ FLAGS = {
         "--p": (PRIMES, INT),
         "--mode": (["exact", "greedy"], st.just("x")),
         "--seed": SEED,
-        "--cap": (["31"], INT),
         "--format": (["json", "pretty"], st.sampled_from(["csv", "xml"])),
         "--output": OUTPUT,
     },

@@ -33,7 +33,7 @@ from ffprog import (
     set_budget,
     weil_corollary_check,
 )
-from ffprog import experiments
+from ffprog import counting, experiments
 
 SPEC34 = ProgressionSpec(3, (monomial(3), monomial(4)))
 
@@ -330,6 +330,25 @@ def test_greedy_free_set_matches_full_rescan(text):
             # maximal: every residue left out would complete an instance
             left_out = sorted(set(range(p)) - set(elements))
             assert all(_completes_instance(spec, p, elements, e) for e in left_out), (p, seed)
+
+
+@pytest.mark.parametrize(
+    "name, search",
+    [
+        ("greedy_free_set", lambda ctx, spec: greedy_free_set(ctx, spec, 0)),
+        ("exact_max_free_set", exact_max_free_set),
+    ],
+    ids=["greedy", "exact"],
+)
+def test_free_set_searches_charge_before_building_tables(name, search, monkeypatch):
+    # m = 10^11 would make config_offsets build 10^11 arrays; the charge must come first
+    def no_tables(*args):
+        raise AssertionError("config_offsets reached before the budget check")
+
+    monkeypatch.setattr(experiments, "config_offsets", no_tables)
+    monkeypatch.setattr(counting, "config_offsets", no_tables)
+    with pytest.raises(BudgetExceeded, match=name):
+        search(make_field(7), ProgressionSpec(99_999_999_999))
 
 
 def test_bound_violation_carries_report():

@@ -1,9 +1,12 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from ffprog import (
+    BoundViolation,
     CompositeModulus,
     OrderDoesNotDivide,
     UsageError,
@@ -13,6 +16,7 @@ from ffprog import (
     mult_character,
     residue_indicator_via_characters,
 )
+from ffprog.field import FieldCtx
 
 PRIMES_TO_101 = [p for p in range(2, 102) if is_prime(p)]
 
@@ -139,3 +143,27 @@ def test_indicator_decomposition_everywhere():
             for x in range(p):
                 want = 1.0 if q.elements[x] else 0.0
                 assert abs(residue_indicator_via_characters(ctx, k, x) - want) < 1e-9
+
+
+def test_residue_table_check_is_a_bound_violation():
+    # 3 has order 5 mod 11, so the subgroup it generates misses half of Q_1 = F_11^x
+    bad = FieldCtx(p=11, g=3, twiddle=make_field(11).twiddle)
+    with pytest.raises(BoundViolation, match="Q_1 mod 11 from the powers of g"):
+        kth_power_residues(bad, 1)
+
+
+def test_residue_table_check_runs_under_optimize(child_env):
+    code = (
+        "from ffprog import BoundViolation, kth_power_residues, make_field\n"
+        "from ffprog.field import FieldCtx\n"
+        "bad = FieldCtx(p=11, g=3, twiddle=make_field(11).twiddle)\n"
+        "try:\n"
+        "    kth_power_residues(bad, 1)\n"
+        "except BoundViolation:\n"
+        "    print('refused')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=child_env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused\n"
