@@ -6,6 +6,7 @@ set_budget() overrides both (pass None to fall back again).
 """
 
 import contextlib
+import math
 import os
 
 from .errors import BudgetExceeded, UsageError
@@ -38,3 +39,12 @@ def charge(terms: int, what: str) -> None:
     limit = get_budget()
     if terms > limit:
         raise BudgetExceeded(f"{what} needs ~{terms} elementary terms, budget is {limit}")
+
+
+def charge_power(base: int, exponent: int, factor: int, what: str) -> None:
+    """charge(factor * base**exponent, what), refusing first in log space, before the power
+    is built, when base**exponent alone is over the budget by more than a factor of 2."""
+    limit = get_budget()
+    if exponent * math.log2(base) > limit.bit_length() + 1:
+        raise BudgetExceeded(f"{what} needs at least {base}^{exponent} terms, budget is {limit}")
+    charge(factor * base**exponent, what)

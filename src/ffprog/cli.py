@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import counting, experiments
-from .counting import ProgressionSpec, exact_max_free_set, lambda_poly
+from .counting import exact_max_free_set, lambda_poly
 from .errors import BoundViolation, FFProgError, IoFailure, MalformedFixture, UsageError
 from .experiments import SweepReport, TrialFunctionFamily, greedy_free_set
 from .field import make_field
@@ -51,16 +51,10 @@ _seed = _int_at_least(0, "non-negative")
 
 
 def _order(text: str) -> int | str:
-    return text if text == "all" else int(text)
+    return text if text == "all" else _positive_int(text)
 
 
-def parse_spec(text: str) -> ProgressionSpec:
-    """Parse a progression-spec string; validation is attached (cached) on the spec."""
-    spec = counting.parse_progression_spec(text)
-    counting.validate_spec(spec)
-    return spec
-
-
+parse_spec = counting.parse_progression_spec
 render_spec = counting.render_progression_spec
 
 

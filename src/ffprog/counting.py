@@ -211,25 +211,30 @@ def _warn_on_degree_collapse(spec: ProgressionSpec, p: int) -> None:
             )
 
 
-def _chunk_products(fs, offsets, p: int, y_weight=None):
-    """Yield prod_j f_j(x + offsets[j](y)) [* y_weight(y)] in (y, x) blocks; offsets in [0, p)."""
-    # Row j of a shift view is f(x + j), so each slot is a row gather.
-    windows = [_shift_rows(f.values) for f in fs]
-    chunk = max(1, (1 << 21) // p)
-    for y0 in range(0, p, chunk):
-        y1 = min(y0 + chunk, p)
-        prod = np.ones((y1 - y0, p), dtype=np.complex128)
+def _slot_reduce(arrays, offsets, p: int, ufunc, dtype):
+    """Yield (y0, acc) over blocks of y: acc[y - y0, x] = ufunc_j arrays[j][x + offsets[j][y]].
+
+    The one (x, y) scan behind Lambda, dual functions, find_progression, the exact search's
+    instance table and the counterexample identity. acc starts at the ufunc's identity and
+    takes the slots in order, each gathered straight into it, so a block of about 2^21
+    entries is the largest temporary. With no slots the blocks still cover p values of y.
+    """
+    windows = [_shift_rows(a) for a in arrays]  # row j of a shift view is x -> a(x + j)
+    chunk = max(1, (1 << 21) // max(p, 1))  # an empty bitset (p = 0) scans no rows
+    rows = len(offsets[0]) if offsets else p
+    for y0 in range(0, rows, chunk):
+        acc = np.full((min(chunk, rows - y0), p), ufunc.identity, dtype=dtype)
         for w, off in zip(windows, offsets):
-            prod *= w[off[y0:y1]]
-        if y_weight is not None:
-            prod *= y_weight[y0:y1, None]
-        yield prod
+            ufunc(acc, w[off[y0 : y0 + chunk]], out=acc)
+        yield y0, acc
 
 
 def _product_mean(fs, offsets, p: int, y_weight=None) -> complex:
     """E_{x,y} prod_j f_j(x + offsets[j](y)) [* y_weight(y)]."""
     total = 0.0 + 0j
-    for prod in _chunk_products(fs, offsets, p, y_weight):
+    for y0, prod in _slot_reduce([f.values for f in fs], offsets, p, np.multiply, np.complex128):
+        if y_weight is not None:
+            prod *= y_weight[y0 : y0 + len(prod), None]
         total += prod.sum()
     return total / (p * p)
 
@@ -274,7 +279,7 @@ def dual_function(spec: ProgressionSpec, fs, omit: int) -> FpFunction:
     others = [f for j, f in enumerate(fs) if j != omit]
     shifts = [(off - offsets[omit]) % p for j, off in enumerate(offsets) if j != omit]
     out = np.zeros(p, dtype=np.complex128)
-    for prod in _chunk_products(others, shifts, p):
+    for _, prod in _slot_reduce([f.values for f in others], shifts, p, np.multiply, np.complex128):
         out += prod.sum(axis=0)
     out /= p
     bounded = all(f.bounded for f in others)
@@ -374,31 +379,24 @@ def find_progression(A, spec: ProgressionSpec, p: int | None = None):
             raise UsageError("pass p explicitly when A is not a boolean bitset")
         p = len(arr)
     bits = as_bitset(A, p)
-    offsets = config_offsets(spec, p)
-    for y in range(1, p):
-        mask = bits.copy()
-        for off in offsets:
-            mask &= np.roll(bits, -int(off[y]))
-            if not mask.any():
-                break
-        else:
-            x = int(np.argmax(mask))
-            return x, y
+    offsets = [off[1:] for off in config_offsets(spec, p)]  # y = 1 .. p-1
+    for y0, hit in _slot_reduce([bits] * len(offsets), offsets, p, np.logical_and, bool):
+        first = int(hit.argmax())  # row-major: the smallest y, then the smallest x
+        if hit.flat[first]:
+            return first % p, 1 + y0 + first // p
     return None
 
 
 def _instance_masks(spec: ProgressionSpec, p: int) -> list[int]:
-    """Distinct point sets of all y != 0 configuration instances, as bitmask ints."""
-    offsets = config_offsets(spec, p)
-    masks = set()
-    for y in range(1, p):
-        base = 0
-        for off in offsets:
-            base |= 1 << int(off[y])
-        for x in range(p):
-            # rotate base left by x within p bits
-            masks.add(((base << x) | (base >> (p - x))) & ((1 << p) - 1))
-    return sorted(masks)
+    """Distinct point sets of all y != 0 configuration instances, as bitmask ints.
+
+    The masks are int64 ORs of the weights 1 << x, so they need p < 63;
+    exact_max_free_set refuses larger p (by default, p > 31) before it builds this table.
+    """
+    offsets = [off[1:] for off in config_offsets(spec, p)]
+    weights = np.left_shift(1, np.arange(p, dtype=np.int64))
+    blocks = _slot_reduce([weights] * len(offsets), offsets, p, np.bitwise_or, np.int64)
+    return sorted({mask for _, acc in blocks for mask in acc.ravel().tolist()})
 
 
 def exact_max_free_set(
@@ -408,12 +406,16 @@ def exact_max_free_set(
 
     Branch and bound over elements in ascending order; translation symmetry
     pins 0 into the set. Returns the lexicographically smallest maximum set.
+    The budget is charged for the instance table, then again every 4096 DFS
+    nodes for the table plus the nodes popped so far. The table packs point
+    sets into int64 masks, so no cap admits p > 62.
     """
     require_valid(spec)
     p = ctx.p
-    if p > cap:
-        raise BudgetExceeded(f"p={p} exceeds search cap {cap}")
-    charge(p * (p - 1) * spec.total_points, f"exact_max_free_set(p={p})")  # the instance table
+    if p > min(cap, 62):
+        raise BudgetExceeded(f"p={p} exceeds search cap {min(cap, 62)}")
+    table = p * (p - 1) * spec.total_points
+    charge(table, f"exact_max_free_set(p={p})")
     # Elements join in ascending order, so adding e can only close an instance
     # whose largest point is e: file each instance under its top bit.
     closing: list[list[int]] = [[] for _ in range(p)]
@@ -435,7 +437,11 @@ def exact_max_free_set(
     # so it pops first, making the first maximum found lexicographically smallest.
     stack = [(1, 1, 1)]
     best_size, best_mask = 1, 1
+    nodes = 0
     while stack:
+        nodes += 1
+        if not nodes & 4095:
+            charge(table + nodes, f"exact_max_free_set(p={p})")
         i, current, size = stack.pop()
         if size > best_size:
             best_size, best_mask = size, current

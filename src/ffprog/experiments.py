@@ -16,6 +16,7 @@ import numpy as np
 from .budget import charge
 from .counting import (
     ProgressionSpec,
+    _slot_reduce,
     config_offsets,
     find_progression,
     lambda_ap,
@@ -245,16 +246,13 @@ def counterexample_demo(ctx: FieldCtx, a: int) -> tuple[float, float]:
     q1 = tsq
     q2 = (-inv2) * tsq % p
     q3 = t
-    # identity Q_0(x) + Q_1(x+y) + Q_2(x+2y) + (x + y^2) == 0 on all of F_p^2
-    y = t[None, :]
-    chunk = max(1, (1 << 21) // p)
-    for x0 in range(0, p, chunk):
-        x = t[x0 : min(x0 + chunk, p), None]
-        total = (q0[x] + q1[(x + y) % p] + q2[(x + 2 * y) % p] + (x + y * y % p)) % p
-        if total.any():
+    spec = ProgressionSpec(m=3, polys=(monomial(2),))
+    charge(4 * p * p, f"counterexample_demo(p={p})")  # one gather per (x, y, slot) of spec
+    # identity Q_0(x) + Q_1(x+y) + Q_2(x+2y) + Q_3(x+y^2) == 0 on all of F_p^2
+    for _, total in _slot_reduce([q0, q1, q2, q3], config_offsets(spec, p), p, np.add, np.int64):
+        if (total % p).any():
             raise BoundViolation("phase cancellation identity failed")
     fs = [FpFunction(ctx, ctx.twiddle[a * q % p], bounded=True) for q in (q0, q1, q2, q3)]
-    spec = ProgressionSpec(m=3, polys=(monomial(2),))
     lhs = abs(lambda_poly(spec, fs))
     rhs = abs(lambda_ap(fs[:3]) * fs[3].mean())
     return lhs, rhs
@@ -273,6 +271,8 @@ def character_norm_decay(primes, s: int, orders="all") -> SweepReport:
     """
     if s not in (2, 3):
         raise UsageError("s must be 2 or 3")
+    if orders != "all" and int(orders) < 1:
+        raise UsageError(f"k must be >= 1, got {orders}")
     plan: list[tuple[int, list[int]]] = []
     for p in _checked_primes(primes):
         # one U^s evaluation costs p^{s-1} log p; charge every prime before any table is built,

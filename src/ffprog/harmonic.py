@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .budget import charge
+from .budget import charge_power
 from .errors import ContextMismatch, MalformedFixture, UsageError
 from .field import FieldCtx, make_field
 
@@ -60,7 +60,7 @@ class FpFunction:
         )
 
     @staticmethod
-    def from_json(text: str, ctx: FieldCtx | None = None) -> "FpFunction":
+    def from_json(text: str) -> "FpFunction":
         try:
             obj = json.loads(text)
         except (ValueError, RecursionError) as exc:  # also: too many digits, deep nesting
@@ -72,16 +72,13 @@ class FpFunction:
         # JSON reads 3.9, 1e400 and NaN as floats and true as a bool, none of them a modulus
         if type(p) is not int:
             raise MalformedFixture(f"fixture p must be an integer, got {p!r}")
-        if ctx is not None and ctx.p != p:
-            raise ContextMismatch(f"fixture has p={p}, context has p={ctx.p}")
         shapes = [(len(v),) if isinstance(v, list) else () for v in (real, imag)]
         if shapes != [(p,), (p,)]:
             raise MalformedFixture(f"fixture has p={p} but re shape {shapes[0]}, im {shapes[1]}")
         if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in real + imag):
             raise MalformedFixture("fixture re and im must hold finite numbers")
-        if ctx is None:
-            ctx = make_field(p)
-        return FpFunction(ctx, np.asarray(real, dtype=float) + 1j * np.asarray(imag, dtype=float))
+        values = np.asarray(real, dtype=float) + 1j * np.asarray(imag, dtype=float)
+        return FpFunction(make_field(p), values)
 
 
 def constant(ctx: FieldCtx, c: complex = 1.0) -> FpFunction:
@@ -233,7 +230,7 @@ def gowers_direct(f: FpFunction, s: int) -> float:
     """U^s norm by direct averaging over s-dimensional parallelepipeds, cost O(p^{s+1})."""
     if s < 1:
         raise UsageError("s must be >= 1")
-    charge(f.p ** (s + 1), f"gowers_direct(s={s}, p={f.p})")
+    charge_power(f.p, s + 1, 1, f"gowers_direct(s={s}, p={f.p})")
     avg = _gowers_box_average(f.values, s)
     # roundoff can leave a tiny negative; the average is provably nonnegative
     return max(avg, 0.0) ** (1.0 / (1 << s))
@@ -254,7 +251,7 @@ def gowers_fast(f: FpFunction, s: int) -> float:
         raise UsageError("gowers_fast needs s >= 2")
     p = f.p
     logp = max(1, math.ceil(math.log2(p)))
-    charge(p ** (s - 1) * logp, f"gowers_fast(s={s}, p={p})")
+    charge_power(p, s - 1, logp, f"gowers_fast(s={s}, p={p})")
     acc = 0.0
     for d in _nested_derivatives(f.values, s - 2):
         acc += _u2_fourth_power(d)

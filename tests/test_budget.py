@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from ffprog import BudgetExceeded, UsageError, get_budget, set_budget
-from ffprog.budget import DEFAULT_BUDGET, ENV_VAR, charge
+from ffprog.budget import DEFAULT_BUDGET, ENV_VAR, charge, charge_power
 
 
 def test_default_budget():
@@ -23,6 +23,25 @@ def test_set_budget_overrides_and_resets():
     assert get_budget() == DEFAULT_BUDGET
     with pytest.raises(ValueError):
         set_budget(0)
+
+
+def test_charge_power_refuses_exactly_what_charge_refuses():
+    # the log-space refusal only ever fires where the exact charge would fail too
+    for limit in (1, 7, 100, 10**9, 2**40 - 1):
+        set_budget(limit)
+        try:
+            for base in (2, 3, 7, 11, 1451):
+                for exponent in range(1, 50):
+                    for factor in (1, 11):
+                        over = factor * base**exponent > limit
+                        try:
+                            charge_power(base, exponent, factor, "test")
+                        except BudgetExceeded:
+                            assert over, (limit, base, exponent, factor)
+                        else:
+                            assert not over, (limit, base, exponent, factor)
+        finally:
+            set_budget(None)
 
 
 def test_env_var_override(monkeypatch):

@@ -346,9 +346,26 @@ def test_integer_flags_keep_int_syntax(capsys):
 
 
 def test_chardecay_order_is_integer_or_all(capsys):
-    assert main(["chardecay", "--primes", "11", "--k", "x"]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: UsageError: argument --k: ")
+    for order in ("x", "0", "-4"):  # 0 and -4 used to report orders 100 and 4 at p = 101
+        assert main(["chardecay", "--primes", "101", "--k", order]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error: UsageError: argument --k: ")
+
+
+@pytest.mark.parametrize("strategy", ["direct", "fast"])
+@pytest.mark.parametrize("s", ["5000", "100000"])
+def test_gowers_huge_s_is_refused_in_one_line(s, strategy, tmp_path, capsys):
+    # p^(s +- 1) used to be built before the budget saw it: a 4,200-digit error line at
+    # s = 5000, and at s = 100000 a traceback from formatting the number
+    fixture = tmp_path / "f.json"
+    fixture.write_text(FpFunction(make_field(7), np.ones(7), bounded=True).to_json())
+    assert main(["gowers", "--fixture", str(fixture), "--s", s, "--strategy", strategy]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error: BudgetExceeded: ") and len(err[0]) <= 200
 
 
 def test_bad_budget_variable_is_usage_error(monkeypatch, capsys):

@@ -31,7 +31,7 @@ from ffprog import (
     set_budget,
     validate_spec,
 )
-from ffprog.counting import lambda_ap_weighted
+from ffprog.counting import _instance_masks, lambda_ap_weighted
 
 
 def unimodular(ctx, seed):
@@ -352,6 +352,7 @@ def test_find_progression_examples():
     spec3 = ProgressionSpec(3)
     assert find_progression(np.ones(5, dtype=bool), spec3) is not None
     assert find_progression(np.zeros(5, dtype=bool), spec3) is None
+    assert find_progression(np.zeros(0, dtype=bool), spec3) is None
     A = np.zeros(5, dtype=bool)
     A[[0, 1, 3]] = True
     assert find_progression(A, spec3) == (1, 2)
@@ -366,6 +367,53 @@ def test_find_progression_requires_nonzero_y():
     assert find_progression(A, ProgressionSpec(3)) is None
 
 
+def test_find_progression_in_a_later_block():
+    # at p = 3001 a block of the scan holds 698 values of y, so y = 1000 is in the second block
+    assert find_progression([0, 1000, 2000], ProgressionSpec(3), p=3001) == (0, 1000)
+
+
+def _slot_offsets(spec, y, p):
+    return [j * y % p for j in range(spec.m)] + [P.eval_mod(y, p) for P in spec.polys]
+
+
+def _first_progression(members, spec, p):
+    """find_progression by a pure-Python scan, y then x ascending."""
+    members = set(members)
+    for y in range(1, p):
+        offs = _slot_offsets(spec, y, p)
+        for x in sorted(members):
+            if all((x + o) % p in members for o in offs):
+                return x, y
+    return None
+
+
+@pytest.mark.parametrize("text", ["m=3", "m=3;P=y^3,y^4"])
+@pytest.mark.parametrize("p", [1451, 3001])
+def test_find_progression_matches_python_scan(p, text):
+    spec = parse_progression_spec(text)
+    rng = np.random.default_rng(p)
+    found = set()
+    for density in (0.004, 0.01, 0.05, 0.3):
+        for _ in range(2):
+            members = np.flatnonzero(rng.random(p) < density).tolist()
+            expected = _first_progression(members, spec, p)
+            assert find_progression(members, spec, p=p) == expected, (density, members)
+            found.add(expected is None or expected[1] > (1 << 21) // p)
+    assert found == {True, False}  # some scans run past the first block, some stop in it
+
+
+@pytest.mark.parametrize("text", ["m=3", "m=4", "m=3;P=y^3,y^4", "m=2;P=-y^2+2y^3"])
+@pytest.mark.parametrize("p", [5, 11, 13, 31])
+def test_instance_masks_match_python_enumeration(p, text):
+    spec = parse_progression_spec(text)
+    expected = set()
+    for y in range(1, p):
+        offs = _slot_offsets(spec, y, p)
+        for x in range(p):
+            expected.add(sum(1 << pt for pt in {(x + o) % p for o in offs}))
+    assert _instance_masks(spec, p) == sorted(expected)
+
+
 def test_exact_max_free_set_examples():
     assert exact_max_free_set(make_field(5), ProgressionSpec(3))[0] == 2
     assert exact_max_free_set(make_field(3), ProgressionSpec(3))[0] == 2
@@ -377,6 +425,17 @@ def test_exact_max_free_set_examples():
 def test_exact_max_free_set_cap():
     with pytest.raises(BudgetExceeded):
         exact_max_free_set(make_field(37), ProgressionSpec(3))
+
+
+def test_exact_max_free_set_meters_its_search():
+    # the instance table costs 29 * 28 * 4 terms; the ~1.3 million DFS nodes are charged as
+    # they are popped, so a budget of 10^5 stops the search
+    set_budget(10**5)
+    try:
+        with pytest.raises(BudgetExceeded, match="exact_max_free_set"):
+            exact_max_free_set(make_field(29), ProgressionSpec(4))
+    finally:
+        set_budget(None)
 
 
 def _smallest_max_free_set(spec, p):

@@ -14,6 +14,7 @@ from ffprog import (
     ProgressionSpec,
     SweepReport,
     TrialFunctionFamily,
+    UsageError,
     ZeroPhase,
     character_norm_decay,
     constant,
@@ -123,6 +124,20 @@ def test_counterexample_exhaustive_small():
             assert rhs < 1e-12, (p, a)
 
 
+def test_counterexample_charges_before_the_identity_check():
+    # 4 p^2 terms: one gather per (x, y) and slot of x, x+y, x+2y, x+y^2
+    ctx = make_field(101)
+    set_budget(4 * 101 * 101 - 1)
+    try:
+        with pytest.raises(BudgetExceeded, match="counterexample_demo"):
+            counterexample_demo(ctx, 1)
+        set_budget(4 * 101 * 101)
+        lhs, rhs = counterexample_demo(ctx, 1)
+    finally:
+        set_budget(None)
+    assert abs(lhs - 1) < 1e-9 and rhs < 1e-12
+
+
 def test_counterexample_errors():
     ctx = make_field(7)
     with pytest.raises(ZeroPhase):
@@ -155,6 +170,12 @@ def test_character_norm_proof_bound_holds():
         for stat, val in norms.items():
             assert val <= bounds[stat] + 1e-12, stat
         del s
+
+
+@pytest.mark.parametrize("k", [0, -4])
+def test_character_norm_decay_rejects_orders_below_one(k):
+    with pytest.raises(UsageError, match="k must be >= 1"):
+        character_norm_decay([101], 2, k)
 
 
 def test_character_norm_order_normalization():
