@@ -9,14 +9,14 @@ print("largest subsets of F_p avoiding x, x+y, x+2y (y != 0):")
 spec = fp.parse_progression_spec("m=3")
 for p in (3, 5, 7, 11, 13, 17):
     ctx = fp.make_field(p)
-    size, elements = fp.exact_max_free_set(ctx, spec, cap=31)
+    size, elements = fp.exact_max_free_set(ctx, spec)
     print(f"  p={p:<3d} size={size}  lexicographically-smallest optimum: {elements}")
 
 print("\nappending polynomial points makes the configuration rarer, so sets grow:")
 spec45 = fp.parse_progression_spec("m=3;P=y^3,y^4")
 for p in (5, 7, 11, 13):
     ctx = fp.make_field(p)
-    size, elements = fp.exact_max_free_set(ctx, spec45, cap=31)
+    size, elements = fp.exact_max_free_set(ctx, spec45)
     print(f"  p={p:<3d} avoid 5-point configuration: size={size}  {elements}")
 
 # --- seeded greedy at larger p --------------------------------------------------

@@ -26,21 +26,12 @@ from .counting import (
 from .errors import (
     BoundViolation,
     BudgetExceeded,
-    CompositeModulus,
-    ContextMismatch,
-    DegenerateConfiguration,
-    DimensionBudget,
     FFProgError,
-    IndexOutOfRange,
     InvalidSpec,
     IoFailure,
     MalformedFixture,
-    OddModulusRequired,
-    OrderDoesNotDivide,
     ParseError,
-    PrincipalCharacter,
     UsageError,
-    ZeroPhase,
 )
 from .experiments import (
     DecayFit,

@@ -28,22 +28,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .budget import charge, get_budget
-from .errors import (
-    BudgetExceeded,
-    ContextMismatch,
-    DimensionBudget,
-    IndexOutOfRange,
-    InvalidSpec,
-    ParseError,
-    UsageError,
-)
+from .budget import charge
+from .errors import BudgetExceeded, InvalidSpec, ParseError, UsageError
 from .field import _MAX_VECTOR_MODULUS, FieldCtx
 from .harmonic import FpFunction, _require_same_ctx, _shift_rows
 
 # Largest spec exponent: polynomials are dense coefficient tuples, and tabulating y^d mod p
 # costs about d * p steps (degree 10^4 at p = 10007: ~0.5 s on a 2-vCPU Xeon VM).
 MAX_EXPONENT = 10**4
+
+# Largest p the exact free-set search admits; its int64 instance masks could not go past 62.
+MAX_EXACT_P = 31
 
 
 @dataclass(frozen=True)
@@ -242,7 +237,7 @@ def _product_mean(fs, offsets, p: int, y_weight=None) -> complex:
 def lambda_poly(spec: ProgressionSpec, fs) -> complex:
     """The counting operator for the full configuration, direct O(p^2 (m+k))."""
     if len(fs) != spec.total_points:
-        raise ContextMismatch(f"expected {spec.total_points} functions, got {len(fs)}")
+        raise UsageError(f"expected {spec.total_points} functions, got {len(fs)}")
     ctx = _require_same_ctx(fs)
     _warn_on_degree_collapse(spec, ctx.p)
     return _product_mean(fs, config_offsets(spec, ctx.p), ctx.p)
@@ -263,16 +258,16 @@ def lambda_ap_weighted(fs, y_weight) -> complex:
     spec = ProgressionSpec(m=len(fs))
     weight = np.asarray(y_weight, dtype=np.complex128)
     if weight.shape != (ctx.p,):
-        raise ContextMismatch(f"y_weight has shape {weight.shape}, expected ({ctx.p},)")
+        raise UsageError(f"y_weight has shape {weight.shape}, expected ({ctx.p},)")
     return _product_mean(fs, config_offsets(spec, ctx.p), ctx.p, y_weight=weight)
 
 
 def dual_function(spec: ProgressionSpec, fs, omit: int) -> FpFunction:
     """F(x) = E_y prod_{j != omit} f_j(x + P_j(y) - P_omit(y)); <F, conj(f_omit)> = Lambda."""
     if not 0 <= omit < spec.total_points:
-        raise IndexOutOfRange(f"omit={omit} outside [0, {spec.total_points})")
+        raise UsageError(f"omit={omit} outside [0, {spec.total_points})")
     if len(fs) != spec.total_points:
-        raise ContextMismatch(f"expected {spec.total_points} functions, got {len(fs)}")
+        raise UsageError(f"expected {spec.total_points} functions, got {len(fs)}")
     ctx = _require_same_ctx(fs)
     p = ctx.p
     offsets = config_offsets(spec, p)
@@ -329,12 +324,10 @@ def lambda_linear(sys_spec: LinearSystemSpec, fs, restricted: bool) -> complex:
     if sys_spec.d > 3:
         raise UsageError("d <= 3 enforced (cost p^d)")
     if len(fs) != sys_spec.num_forms:
-        raise ContextMismatch(f"expected {sys_spec.num_forms} functions, got {len(fs)}")
+        raise UsageError(f"expected {sys_spec.num_forms} functions, got {len(fs)}")
     ctx = _require_same_ctx(fs)
     p = ctx.p
-    cost = p**sys_spec.d * sys_spec.num_forms
-    if cost > get_budget():
-        raise DimensionBudget(f"p^d * m = {cost} exceeds budget {get_budget()}")
+    charge(p**sys_spec.d * sys_spec.num_forms, f"lambda_linear(p={p}, d={sys_spec.d})")
     axes = []
     for j, k in enumerate(sys_spec.powers):
         if restricted and k > 1:
@@ -399,21 +392,19 @@ def _instance_masks(spec: ProgressionSpec, p: int) -> list[int]:
     return sorted({mask for _, acc in blocks for mask in acc.ravel().tolist()})
 
 
-def exact_max_free_set(
-    ctx: FieldCtx, spec: ProgressionSpec, cap: int = 31
-) -> tuple[int, list[int]]:
+def exact_max_free_set(ctx: FieldCtx, spec: ProgressionSpec) -> tuple[int, list[int]]:
     """Maximum subset of F_p containing no configuration instance with y != 0.
 
     Branch and bound over elements in ascending order; translation symmetry
     pins 0 into the set. Returns the lexicographically smallest maximum set.
     The budget is charged for the instance table, then again every 4096 DFS
     nodes for the table plus the nodes popped so far. The table packs point
-    sets into int64 masks, so no cap admits p > 62.
+    sets into int64 masks, so p is refused past min(MAX_EXACT_P, 62).
     """
     require_valid(spec)
     p = ctx.p
-    if p > min(cap, 62):
-        raise BudgetExceeded(f"p={p} exceeds search cap {min(cap, 62)}")
+    if p > min(MAX_EXACT_P, 62):
+        raise BudgetExceeded(f"p={p} exceeds search cap {min(MAX_EXACT_P, 62)}")
     table = p * (p - 1) * spec.total_points
     charge(table, f"exact_max_free_set(p={p})")
     # Elements join in ascending order, so adding e can only close an instance

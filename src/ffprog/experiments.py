@@ -25,15 +25,7 @@ from .counting import (
     monomial,
     require_valid,
 )
-from .errors import (
-    BoundViolation,
-    CompositeModulus,
-    DegenerateConfiguration,
-    OddModulusRequired,
-    PrincipalCharacter,
-    UsageError,
-    ZeroPhase,
-)
+from .errors import BoundViolation, UsageError
 from .field import FieldCtx, is_prime, kth_power_residues, make_field, mult_character
 from .harmonic import FpFunction, gowers_fast
 from . import counting
@@ -187,9 +179,9 @@ def _checked_primes(primes) -> list[int]:
     for p in primes:
         ctx_p = int(p)
         if ctx_p % 2 == 0 or ctx_p == 1:
-            raise OddModulusRequired(f"p={ctx_p} must be an odd prime")
+            raise UsageError(f"p={ctx_p} must be an odd prime")
         if not is_prime(ctx_p):
-            raise CompositeModulus(f"{ctx_p} is not prime")
+            raise UsageError(f"{ctx_p} is not prime")
         out.append(ctx_p)
     return sorted(out)
 
@@ -235,10 +227,11 @@ def counterexample_demo(ctx: FieldCtx, a: int) -> tuple[float, float]:
     """
     p = ctx.p
     if p == 2:
-        raise OddModulusRequired("the construction divides by 2")
+        raise UsageError("the construction divides by 2")
     a = a % p
     if a == 0:
-        raise ZeroPhase("a must be nonzero")
+        raise UsageError("a must be nonzero")
+    charge(4 * p * p, f"counterexample_demo(p={p})")  # one gather per (x, y, slot) below
     inv2 = pow(2, p - 2, p)
     t = np.arange(p, dtype=np.int64)
     tsq = t * t % p
@@ -247,7 +240,6 @@ def counterexample_demo(ctx: FieldCtx, a: int) -> tuple[float, float]:
     q2 = (-inv2) * tsq % p
     q3 = t
     spec = ProgressionSpec(m=3, polys=(monomial(2),))
-    charge(4 * p * p, f"counterexample_demo(p={p})")  # one gather per (x, y, slot) of spec
     # identity Q_0(x) + Q_1(x+y) + Q_2(x+2y) + Q_3(x+y^2) == 0 on all of F_p^2
     for _, total in _slot_reduce([q0, q1, q2, q3], config_offsets(spec, p), p, np.add, np.int64):
         if (total % p).any():
@@ -311,23 +303,28 @@ def character_norm_decay(primes, s: int, orders="all") -> SweepReport:
 
 
 def weil_corollary_check(ctx: FieldCtx, k: int, r: int, points) -> tuple[float, float, bool]:
-    """|E_x chi((x-b_1)..(x-b_r)) conj(chi)((x-b_{r+1})..(x-b_{2r}))| against 2r p^{-1/2}."""
+    """|E_x chi((x-b_1)..(x-b_r)) conj(chi)((x-b_{r+1})..(x-b_{2r}))| against 2r p^{-1/2}.
+
+    The Weil bound does not apply, and the points are refused, when the argument is a k-th
+    power: each point's count among b_1..b_r minus its count among b_{r+1}..b_{2r} is
+    divisible by gcd(k, p - 1), e.g. when all points coincide."""
     if r < 1:
         raise UsageError(f"r must be >= 1, got {r}")
     p = ctx.p
     kk = math.gcd(int(k), p - 1)
     if kk == 1:
-        raise PrincipalCharacter(f"k={k} reduces to the principal character mod {p}")
+        raise UsageError(f"k={k} reduces to the principal character mod {p}")
     bs = [int(b) % p for b in points]
     if len(bs) != 2 * r:
         raise UsageError(f"need 2r={2 * r} points, got {len(bs)}")
     # n(b): multiplicity of x - b in the numerator minus that in the denominator
     n = {b: bs[:r].count(b) - bs[r:].count(b) for b in bs}
     if all(nb % kk == 0 for nb in n.values()):
-        raise DegenerateConfiguration(
+        raise UsageError(
             "the points make the rational function a k-th power "
             f"(every multiplicity difference is divisible by {kk})"
         )
+    charge((2 * r + 1) * p, f"weil_corollary_check(p={p}, r={r})")  # 2r products and the terms
     chi = mult_character(ctx, kk)
     x = np.arange(p, dtype=np.int64)
     prod_left = np.ones(p, dtype=np.int64)

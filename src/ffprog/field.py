@@ -2,10 +2,11 @@
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import BoundViolation, CompositeModulus, OrderDoesNotDivide, UsageError
+from .errors import BoundViolation, UsageError
 
 # Largest modulus for which int64 products of two residues cannot overflow (p^2 < 2^63).
 _MAX_VECTOR_MODULUS = 3_037_000_499
@@ -70,12 +71,17 @@ def smallest_primitive_root(p: int) -> int:
 class FieldCtx:
     """A prime field F_p with a fixed generator and additive-character table.
 
-    twiddle[j] = exp(2*pi*i*j/p); immutable, safe to share across workers.
+    twiddle[j] = exp(2*pi*i*j/p), built on first use; immutable, safe to share across workers.
     """
 
     p: int
     g: int
-    twiddle: np.ndarray
+
+    @cached_property
+    def twiddle(self) -> np.ndarray:
+        twiddle = np.exp(2j * np.pi * np.arange(self.p) / self.p)
+        twiddle.flags.writeable = False
+        return twiddle
 
     def e(self, j: int) -> complex:
         """Additive character e_p(j)."""
@@ -90,11 +96,8 @@ def make_field(p: int) -> FieldCtx:
     if p > _MAX_VECTOR_MODULUS:
         raise UsageError(f"p={p} is above {_MAX_VECTOR_MODULUS}, the int64 limit of the tables")
     if p < 2 or not is_prime(p):
-        raise CompositeModulus(f"{p} is not prime")
-    g = smallest_primitive_root(p)
-    twiddle = np.exp(2j * np.pi * np.arange(p) / p)
-    twiddle.flags.writeable = False
-    return FieldCtx(p=p, g=g, twiddle=twiddle)
+        raise UsageError(f"{p} is not prime")
+    return FieldCtx(p=p, g=smallest_primitive_root(p))
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,7 +160,7 @@ def mult_character(ctx: FieldCtx, k: int) -> MultCharacter:
         raise UsageError("k must be >= 1")
     p = ctx.p
     if (p - 1) % k != 0:
-        raise OrderDoesNotDivide(f"k={k} does not divide p-1={p - 1}")
+        raise UsageError(f"k={k} does not divide p-1={p - 1}")
     roots = np.exp(2j * np.pi * np.arange(k) / k)
     values = np.zeros(p, dtype=np.complex128)
     x = 1
@@ -172,7 +175,7 @@ def residue_indicator_via_characters(ctx: FieldCtx, k: int, x: int) -> complex:
     """1_{Q_k}(x) recovered as (1 + chi(x) + ... + chi(x)^{k-1})/k - (1/k)*1_{x=0}."""
     p = ctx.p
     if (p - 1) % k != 0:
-        raise OrderDoesNotDivide(f"k={k} does not divide p-1={p - 1}")
+        raise UsageError(f"k={k} does not divide p-1={p - 1}")
     chi = mult_character(ctx, k)
     x = x % p
     cx = chi.values[x]

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .budget import charge_power
-from .errors import ContextMismatch, MalformedFixture, UsageError
+from .errors import MalformedFixture, UsageError
 from .field import FieldCtx, make_field
 
 BOUND_TOL = 1e-12
@@ -102,7 +102,7 @@ def _require_same_ctx(fs) -> FieldCtx:
     ctx = fs[0].ctx
     for f in fs[1:]:
         if f.ctx.p != ctx.p or f.ctx.g != ctx.g:
-            raise ContextMismatch("functions live over different fields")
+            raise UsageError("functions live over different fields")
     return ctx
 
 

@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -14,11 +15,12 @@ from ffprog import (
     IntPolynomial,
     ParseError,
     ProgressionSpec,
+    constant,
     make_field,
     set_budget,
 )
 from ffprog import experiments, harmonic
-from ffprog.cli import DEFAULT_SEED, main, parse_spec, render_spec
+from ffprog.cli import DEFAULT_SEED, build_parser, main, parse_spec, render_spec
 from ffprog.counting import MAX_EXPONENT, parse_progression_spec, render_progression_spec
 from ffprog.experiments import SweepReport, SweepRow
 
@@ -109,7 +111,7 @@ def test_counterexample_command(capsys):
 
 def test_counterexample_usage_errors(capsys):
     assert main(["counterexample", "--p", "4", "--a", "1"]) == 1
-    assert "CompositeModulus" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: UsageError: 4 is not prime\n"
     assert main(["counterexample", "--p", "7", "--a", "0"]) == 1
 
 
@@ -123,7 +125,10 @@ def test_weil_kth_power_configuration_is_usage_error(capsys):
     # x^2 / (x-1)^2 is a square: outside the corollary, not a failed bound
     assert main(["weil", "--p", "101", "--k", "2", "--r", "2", "--points", "0,0,1,1"]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and "DegenerateConfiguration" in captured.err
+    assert captured.out == "" and captured.err == (
+        "error: UsageError: the points make the rational function a k-th power "
+        "(every multiplicity difference is divisible by 2)\n"
+    )
 
 
 def test_gowers_and_lambda_commands(tmp_path, capsys):
@@ -246,8 +251,7 @@ def test_m_and_r_must_be_positive(cmd, value, capsys):
 def test_composite_prime_rejected_before_budget(cmd, capsys):
     # 1000001 = 101 * 9901; its budget estimate alone would exceed the default budget
     assert main(cmd + ["--primes", "11,1000001", "--trials", "1"]) == 1
-    err = capsys.readouterr().err
-    assert "CompositeModulus" in err and "BudgetExceeded" not in err
+    assert capsys.readouterr().err == "error: UsageError: 1000001 is not prime\n"
 
 
 def test_search_rejects_csv(capsys):
@@ -422,6 +426,89 @@ def test_search_has_no_cap_flag(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: UsageError: unrecognized arguments: --cap 31\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--spec", "m=3", "--p", "1000003", "--mode", "exact"],
+        ["weil", "--p", "1000003", "--k", "2", "--r", "1", "--points", "0,1"],
+        ["counterexample", "--p", "1000003", "--a", "1"],
+    ],
+    ids=["search-exact", "weil", "counterexample"],
+)
+def test_large_p_is_refused_before_any_table(argv, capsys):
+    # make_field builds no O(p) table, and each command charges before it builds its own
+    set_budget(1000)
+    tracemalloc.start()
+    try:
+        assert main(argv) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        set_budget(None)
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error: BudgetExceeded: ")
+    assert peak < 2**20
+
+
+# Every refusal of a bad argument is a UsageError (a ValueError); the spec grammar and the
+# degree condition keep their own subclasses.
+REFUSALS = {
+    "composite-p": (["counterexample", "--p", "4", "--a", "1"], "UsageError: 4 is not prime"),
+    "zero-phase": (["counterexample", "--p", "7", "--a", "0"], "UsageError: a must be nonzero"),
+    "p-2": (["counterexample", "--p", "2", "--a", "1"], "UsageError: the construction divides by 2"),
+    "principal": (
+        ["weil", "--p", "7", "--k", "1", "--r", "1", "--points", "0,1"],
+        "UsageError: k=1 reduces to the principal character mod 7",
+    ),
+    "kth-power": (
+        ["weil", "--p", "7", "--k", "2", "--r", "2", "--points", "0,0,1,1"],
+        "UsageError: the points make the rational function a k-th power "
+        "(every multiplicity difference is divisible by 2)",
+    ),
+    "even-ladder": (
+        ["discorrelate", "--spec", "m=3", "--primes", "2"],
+        "UsageError: p=2 must be an odd prime",
+    ),
+    "composite-ladder": (
+        ["restricted-ap", "--primes", "9", "--k", "2"],
+        "UsageError: 9 is not prime",
+    ),
+    "mixed-fields": (
+        ["lambda", "--spec", "m=3", "--fixtures", "{f5},{f7},{f5}"],
+        "UsageError: functions live over different fields",
+    ),
+    "too-few-fixtures": (
+        ["lambda", "--spec", "m=3", "--fixtures", "{f5},{f5}"],
+        "UsageError: expected 3 functions, got 2",
+    ),
+    "degree-condition": (
+        ["search", "--spec", "m=3;P=y^2", "--p", "7"],
+        "InvalidSpec: degree condition fails: combination (1,) has degree < m=3",
+    ),
+    "spec-syntax": (
+        ["search", "--spec", "m=", "--p", "7"],
+        "ParseError: expected integer (at offset 2)",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, line", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusals_are_usage_errors(argv, line, tmp_path, capsys):
+    paths = {}
+    for p in (5, 7):
+        paths[f"f{p}"] = tmp_path / f"f{p}.json"
+        paths[f"f{p}"].write_text(constant(make_field(p)).to_json())
+    argv = [arg.format(**paths) for arg in argv]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+    args = build_parser().parse_args(argv)
+    with pytest.raises(ValueError) as info:
+        args.run(args)
+    assert f"{type(info.value).__name__}: {info.value}" == line
 
 
 # --- one writer, one verdict -------------------------------------------------

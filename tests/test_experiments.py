@@ -6,16 +6,12 @@ import pytest
 from ffprog import (
     BoundViolation,
     BudgetExceeded,
-    DegenerateConfiguration,
     FpFunction,
     InvalidSpec,
-    OddModulusRequired,
-    PrincipalCharacter,
     ProgressionSpec,
     SweepReport,
     TrialFunctionFamily,
     UsageError,
-    ZeroPhase,
     character_norm_decay,
     constant,
     counterexample_demo,
@@ -83,7 +79,7 @@ def test_discorrelation_sweep_rows_and_determinism():
     assert rep1.fit is None  # only two ladder points
     with pytest.raises(InvalidSpec):
         discorrelation_sweep([11], ProgressionSpec(3, (monomial(2),)), fam, 1)
-    with pytest.raises(OddModulusRequired):
+    with pytest.raises(UsageError, match="p=2 must be an odd prime"):
         discorrelation_sweep([2], SPEC34, fam, 1)
 
 
@@ -140,11 +136,11 @@ def test_counterexample_charges_before_the_identity_check():
 
 def test_counterexample_errors():
     ctx = make_field(7)
-    with pytest.raises(ZeroPhase):
+    with pytest.raises(UsageError, match="a must be nonzero"):
         counterexample_demo(ctx, 0)
-    with pytest.raises(ZeroPhase):
+    with pytest.raises(UsageError, match="a must be nonzero"):
         counterexample_demo(ctx, 7)  # 7 ≡ 0
-    with pytest.raises(OddModulusRequired):
+    with pytest.raises(UsageError, match="the construction divides by 2"):
         counterexample_demo(make_field(2), 1)
 
 
@@ -227,9 +223,9 @@ def test_weil_examples():
     ctx13 = make_field(13)
     _, _, holds = weil_corollary_check(ctx13, 3, 2, (1, 5, 7, 2))
     assert holds
-    with pytest.raises(DegenerateConfiguration):
+    with pytest.raises(UsageError, match="every multiplicity difference is divisible by 3"):
         weil_corollary_check(ctx13, 3, 2, (4, 4, 4, 4))
-    with pytest.raises(PrincipalCharacter):
+    with pytest.raises(UsageError, match="k=1 reduces to the principal character mod 13"):
         weil_corollary_check(ctx13, 1, 1, (0, 1))
     with pytest.raises(ValueError):
         weil_corollary_check(ctx13, 2, 2, (0, 1))  # wrong point count
@@ -247,7 +243,7 @@ def test_weil_examples():
     ],
 )
 def test_weil_rejects_kth_power_configurations(p, k, r, points):
-    with pytest.raises(DegenerateConfiguration):
+    with pytest.raises(UsageError, match="the points make the rational function a k-th power"):
         weil_corollary_check(make_field(p), k, r, points)
 
 
@@ -382,11 +378,9 @@ def test_bound_violation_carries_report():
 
 def test_odd_primes_required():
     fam = TrialFunctionFamily(kind="random_indicator", seed=1)
-    with pytest.raises(OddModulusRequired):
+    with pytest.raises(UsageError, match="p=2 must be an odd prime"):
         restricted_ap_experiment([2], 3, 2, fam, 1)
-    from ffprog import CompositeModulus
-
-    with pytest.raises(CompositeModulus):
+    with pytest.raises(UsageError, match="9 is not prime"):
         restricted_ap_experiment([9], 3, 2, fam, 1)
     for m in (5, 0, -1):  # m outside 1..4
         with pytest.raises(ValueError):
