@@ -16,15 +16,15 @@ ctx = fp.make_field(p)
 # --- residues and characters -------------------------------------------------
 
 q4 = fp.kth_power_residues(ctx, 4)
-print(f"Q_4 in F_{p}: {q4.size()} elements (= (p-1)/gcd(4,p-1) = {(p - 1) // 4})")
-print("Q_4 = Q_gcd(4, 100):", np.array_equal(q4.elements, fp.kth_power_residues(ctx, 4).elements))
+print(f"Q_4 in F_{p}: {q4.sum()} elements (= (p-1)/gcd(4,p-1) = {(p - 1) // 4})")
+print("Q_4 = Q_gcd(4, 100):", np.array_equal(q4, fp.kth_power_residues(ctx, 4)))
 
 chi = fp.mult_character(ctx, 4)
-print(f"chi_4(g) = {chi(ctx.g):.6f}, chi_4(0) = {chi(0)}")
+print(f"chi_4(g) = {chi[ctx.g]:.6f}, chi_4(0) = {chi[0]}")
 
 # the orthogonality decomposition recovers the indicator of Q_4 pointwise
 errs = [
-    abs(fp.residue_indicator_via_characters(ctx, 4, x) - (1.0 if x in q4 else 0.0))
+    abs(fp.residue_indicator_via_characters(ctx, 4, x) - (1.0 if q4[x] else 0.0))
     for x in range(p)
 ]
 print(f"indicator via characters, max pointwise error: {max(errs):.2e}")

@@ -48,8 +48,6 @@ from .experiments import (
 )
 from .field import (
     FieldCtx,
-    MultCharacter,
-    ResidueClass,
     is_prime,
     kth_power_residues,
     make_field,

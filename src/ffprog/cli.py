@@ -109,7 +109,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("weil", help="character sum against the 2r/sqrt(p) bound")
     sp.set_defaults(run=_cmd_weil)
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--k", type=_positive_int, required=True)
     sp.add_argument("--r", type=_positive_int, required=True)
     sp.add_argument("--points", type=_int_list, required=True, help="comma-separated b_1..b_2r")
 
@@ -117,7 +117,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(run=_cmd_restricted_ap)
     sp.add_argument("--primes", type=_int_list, required=True)
     sp.add_argument("--m", type=_positive_int, default=3)
-    sp.add_argument("--k", type=int, required=True)
+    sp.add_argument("--k", type=_positive_int, required=True)
     sp.add_argument("--density", type=float, default=0.5)
     sp.add_argument("--trials", type=_positive_int, default=20)
     sp.add_argument("--seed", type=_seed, default=DEFAULT_SEED)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .budget import charge
 from .errors import BudgetExceeded, InvalidSpec, ParseError, UsageError
-from .field import _MAX_VECTOR_MODULUS, FieldCtx
+from .field import _MAX_VECTOR_MODULUS, FieldCtx, pow_mod
 from .harmonic import FpFunction, _require_same_ctx, _shift_rows
 
 # Largest spec exponent: polynomials are dense coefficient tuples, and tabulating y^d mod p
@@ -213,10 +213,12 @@ def _slot_reduce(arrays, offsets, p: int, ufunc, dtype):
     instance table and the counterexample identity. acc starts at the ufunc's identity and
     takes the slots in order, each gathered straight into it, so a block of about 2^21
     entries is the largest temporary. With no slots the blocks still cover p values of y.
+    The budget is charged rows * p * slots before the first block.
     """
     windows = [_shift_rows(a) for a in arrays]  # row j of a shift view is x -> a(x + j)
     chunk = max(1, (1 << 21) // max(p, 1))  # an empty bitset (p = 0) scans no rows
     rows = len(offsets[0]) if offsets else p
+    charge(rows * p * len(arrays), f"(x, y) scan(p={p}, slots={len(arrays)})")
     for y0 in range(0, rows, chunk):
         acc = np.full((min(chunk, rows - y0), p), ufunc.identity, dtype=dtype)
         for w, off in zip(windows, offsets):
@@ -330,10 +332,7 @@ def lambda_linear(sys_spec: LinearSystemSpec, fs, restricted: bool) -> complex:
     charge(p**sys_spec.d * sys_spec.num_forms, f"lambda_linear(p={p}, d={sys_spec.d})")
     axes = []
     for j, k in enumerate(sys_spec.powers):
-        if restricted and k > 1:
-            t = np.fromiter((pow(x, k, p) for x in range(p)), dtype=np.int64, count=p)
-        else:
-            t = np.arange(p, dtype=np.int64)
+        t = pow_mod(np.arange(p), k if restricted else 1, p)
         shape = [1] * sys_spec.d
         shape[j] = p
         axes.append(t.reshape(shape))

@@ -148,7 +148,7 @@ class TrialFunctionFamily:
             if not orders:
                 raise UsageError(f"p={p} has no nonprincipal character")
             k = orders[int(rng.integers(0, len(orders)))]
-            vals = mult_character(ctx, k).values
+            vals = mult_character(ctx, k)
         return FpFunction(ctx, vals, bounded=True)
 
     def label(self) -> str:
@@ -286,7 +286,7 @@ def character_norm_decay(primes, s: int, orders="all") -> SweepReport:
             if k == 1:
                 rows.append(SweepRow(p, f"U{s}[k=1] skipped (principal)", 0.0, 0, 0))
                 continue
-            chi = FpFunction(ctx, mult_character(ctx, k).values, bounded=True)
+            chi = FpFunction(ctx, mult_character(ctx, k), bounded=True)
             value = gowers_fast(chi, s)
             proof_rhs = 2**s * p**-0.5 + float(p) ** -s
             headline = 2.0 * p ** -(2.0 ** -(s + 1))
@@ -308,6 +308,8 @@ def weil_corollary_check(ctx: FieldCtx, k: int, r: int, points) -> tuple[float, 
     The Weil bound does not apply, and the points are refused, when the argument is a k-th
     power: each point's count among b_1..b_r minus its count among b_{r+1}..b_{2r} is
     divisible by gcd(k, p - 1), e.g. when all points coincide."""
+    if k < 1:
+        raise UsageError(f"k must be >= 1, got {k}")
     if r < 1:
         raise UsageError(f"r must be >= 1, got {r}")
     p = ctx.p
@@ -333,7 +335,7 @@ def weil_corollary_check(ctx: FieldCtx, k: int, r: int, points) -> tuple[float, 
     prod_right = np.ones(p, dtype=np.int64)
     for b in bs[r:]:
         prod_right = prod_right * ((x - b) % p) % p
-    terms = chi.values[prod_left] * np.conjugate(chi.values[prod_right])
+    terms = chi[prod_left] * np.conjugate(chi[prod_right])
     modulus = abs(complex(terms.mean()))
     bound = 2 * r * p**-0.5
     return modulus, bound, modulus <= bound + 1e-12
@@ -361,7 +363,7 @@ def restricted_ap_experiment(
 
     def errors(ctx):
         kp = math.gcd(k, ctx.p - 1)
-        weight = kth_power_residues(ctx, k).elements.astype(np.float64)
+        weight = kth_power_residues(ctx, k).astype(np.float64)
         for t in range(trials):
             fs = [family.generate(ctx, t, 0)] * m
             yield abs(lambda_ap_weighted(fs, weight) - lambda_ap(fs) / kp)

@@ -69,9 +69,10 @@ def smallest_primitive_root(p: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class FieldCtx:
-    """A prime field F_p with a fixed generator and additive-character table.
+    """A prime field F_p with a fixed generator and its additive-character and power tables.
 
-    twiddle[j] = exp(2*pi*i*j/p), built on first use; immutable, safe to share across workers.
+    twiddle[j] = exp(2*pi*i*j/p) and powers[l] = g^l mod p (0 <= l < p - 1), each built on
+    first use and read-only; safe to share across workers.
     """
 
     p: int
@@ -82,6 +83,15 @@ class FieldCtx:
         twiddle = np.exp(2j * np.pi * np.arange(self.p) / self.p)
         twiddle.flags.writeable = False
         return twiddle
+
+    @cached_property
+    def powers(self) -> np.ndarray:
+        # doubling: t <- t ++ t * g^len(t), cut to p - 1 entries; int64 holds p^2 < 2^63
+        n, t = self.p - 1, np.ones(1, dtype=np.int64)
+        while len(t) < n:
+            t = np.concatenate([t, t[: n - len(t)] * pow(self.g, len(t), self.p) % self.p])
+        t.flags.writeable = False
+        return t
 
     def e(self, j: int) -> complex:
         """Additive character e_p(j)."""
@@ -100,59 +110,39 @@ def make_field(p: int) -> FieldCtx:
     return FieldCtx(p=p, g=smallest_primitive_root(p))
 
 
-@dataclass(frozen=True, eq=False)
-class ResidueClass:
-    """The set Q_k of k-th power residues in F_p^x, as a length-p bitset.
-
-    k is the order parameter as requested; the effective order is gcd(k, p-1).
-    """
-
-    p: int
-    k: int
-    elements: np.ndarray
-
-    def __contains__(self, x: int) -> bool:
-        return bool(self.elements[x % self.p])
-
-    def size(self) -> int:
-        return int(self.elements.sum())
+def pow_mod(x, k: int, p: int) -> np.ndarray:
+    """x^k mod p elementwise on int64 residues, by square-and-multiply (p^2 < 2^63)."""
+    if k < 0:
+        raise UsageError(f"k must be >= 0, got {k}")
+    base = np.asarray(x, dtype=np.int64) % p
+    out = np.full_like(base, 1 % p)
+    while k:
+        if k & 1:
+            out = out * base % p
+        base = base * base % p
+        k >>= 1
+    return out
 
 
-def kth_power_residues(ctx: FieldCtx, k: int) -> ResidueClass:
-    """Q_k = {x^k : x in F_p^x}, built from the subgroup generated by g^gcd(k, p-1)."""
+def kth_power_residues(ctx: FieldCtx, k: int) -> np.ndarray:
+    """Q_k = {x^k : x in F_p^x} as a read-only length-p bitset: the powers of g^gcd(k, p-1),
+    checked against the x^k scan."""
     if k < 1:
         raise UsageError("k must be >= 1")
     p = ctx.p
     d = math.gcd(k, p - 1)
     elements = np.zeros(p, dtype=bool)
-    step = pow(ctx.g, d, p)
-    x = 1
-    for _ in range((p - 1) // d):
-        elements[x] = True
-        x = x * step % p
+    elements[ctx.powers[::d]] = True
     direct = np.zeros(p, dtype=bool)
-    for y in range(1, p):
-        direct[pow(y, k, p)] = True
+    direct[pow_mod(np.arange(1, p), k, p)] = True
     if not np.array_equal(elements, direct):
         raise BoundViolation(f"Q_{k} mod {p} from the powers of g^{d} differs from the x^{k} scan")
     elements.flags.writeable = False
-    return ResidueClass(p=p, k=k, elements=elements)
+    return elements
 
 
-@dataclass(frozen=True, eq=False)
-class MultCharacter:
-    """Multiplicative character of order k on F_p, tabulated; values[0] = 0."""
-
-    p: int
-    k: int
-    values: np.ndarray
-
-    def __call__(self, x: int) -> complex:
-        return complex(self.values[x % self.p])
-
-
-def mult_character(ctx: FieldCtx, k: int) -> MultCharacter:
-    """chi_k with chi_k(g^l) = exp(2*pi*i*l/k), extended by chi_k(0) = 0.
+def mult_character(ctx: FieldCtx, k: int) -> np.ndarray:
+    """chi_k as a read-only length-p table: chi_k(g^l) = exp(2*pi*i*l/k), chi_k(0) = 0.
 
     Requires k | p-1; normalize with gcd(k, p-1) first if needed.
     """
@@ -163,22 +153,15 @@ def mult_character(ctx: FieldCtx, k: int) -> MultCharacter:
         raise UsageError(f"k={k} does not divide p-1={p - 1}")
     roots = np.exp(2j * np.pi * np.arange(k) / k)
     values = np.zeros(p, dtype=np.complex128)
-    x = 1
-    for l in range(p - 1):
-        values[x] = roots[l % k]
-        x = x * ctx.g % p
+    values[ctx.powers] = roots[np.arange(p - 1) % k]
     values.flags.writeable = False
-    return MultCharacter(p=p, k=k, values=values)
+    return values
 
 
 def residue_indicator_via_characters(ctx: FieldCtx, k: int, x: int) -> complex:
     """1_{Q_k}(x) recovered as (1 + chi(x) + ... + chi(x)^{k-1})/k - (1/k)*1_{x=0}."""
-    p = ctx.p
-    if (p - 1) % k != 0:
-        raise UsageError(f"k={k} does not divide p-1={p - 1}")
-    chi = mult_character(ctx, k)
-    x = x % p
-    cx = chi.values[x]
+    x = x % ctx.p
+    cx = mult_character(ctx, k)[x]
     total = 1.0 + 0j  # the j=0 term is literally 1, also at x=0
     power = 1.0 + 0j
     for _ in range(k - 1):

@@ -126,7 +126,7 @@ def test_criterion_05_character_norm_bound():
     ctx = fp.make_field(p)
     headline = 2.0 * p ** -(2.0**-3)
     for k in (2, 5003, 10006):
-        chi = fp.FpFunction(ctx, fp.mult_character(ctx, k).values, bounded=True)
+        chi = fp.FpFunction(ctx, fp.mult_character(ctx, k), bounded=True)
         value = gowers_fast(chi, 2)
         if not value <= headline:
             failures.append(f"headline violated at k={k}: {value} > {headline}")
@@ -219,15 +219,15 @@ def test_criterion_09_residue_and_character_identities():
         for k in range(1, 13):
             got = fp.kth_power_residues(ctx, k)
             direct = {pow(x, k, p) for x in range(1, p)}
-            if set(np.flatnonzero(got.elements).tolist()) != direct:
+            if set(np.flatnonzero(got).tolist()) != direct:
                 failures.append(f"Q_k mismatch p={p} k={k}")
             reduced = fp.kth_power_residues(ctx, math.gcd(k, p - 1))
-            if not np.array_equal(got.elements, reduced.elements):
+            if not np.array_equal(got, reduced):
                 failures.append(f"Q_k != Q_gcd p={p} k={k}")
         for k in [k for k in range(1, 13) if (p - 1) % k == 0]:
             q = fp.kth_power_residues(ctx, k)
             for x in range(p):
-                want = 1.0 if q.elements[x] else 0.0
+                want = 1.0 if q[x] else 0.0
                 got_ind = fp.residue_indicator_via_characters(ctx, k, x)
                 if abs(got_ind - want) >= 1e-9:
                     failures.append(f"indicator p={p} k={k} x={x}")

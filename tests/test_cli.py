@@ -121,6 +121,39 @@ def test_weil_command(capsys):
     assert main(["weil", "--p", "4", "--k", "2", "--r", "1", "--points", "0,1"]) == 1
 
 
+@pytest.mark.parametrize(
+    "cmd",
+    [
+        ["weil", "--p", "101", "--r", "1", "--points", "0,1", "--k"],
+        ["restricted-ap", "--primes", "11", "--trials", "2", "--k"],
+    ],
+)
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_character_order_must_be_positive(cmd, k, capsys):
+    assert main(cmd + [k]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: UsageError: argument --k: expected a positive integer, got '{k}'\n"
+    )
+
+
+def test_lambda_is_metered(tmp_path, monkeypatch, capsys):
+    # four p = 101 fixtures need 4 * 101^2 = 40804 gathered terms
+    ctx = make_field(101)
+    paths = []
+    for i in range(4):
+        path = tmp_path / f"f{i}.json"
+        path.write_text(FpFunction(ctx, np.exp(2j * np.pi * np.arange(101) * i / 101)).to_json())
+        paths.append(str(path))
+    monkeypatch.setenv("FFPROG_BUDGET", "1000")
+    assert main(["lambda", "--spec", "m=3;P=y^2", "--fixtures", ",".join(paths)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error: BudgetExceeded: ")
+
+
 def test_weil_kth_power_configuration_is_usage_error(capsys):
     # x^2 / (x-1)^2 is a square: outside the corollary, not a failed bound
     assert main(["weil", "--p", "101", "--k", "2", "--r", "2", "--points", "0,0,1,1"]) == 1

@@ -276,7 +276,7 @@ def test_restricted_equals_weighted_residue_count():
     A = indicator(ctx, [0, 1, 4, 6, 9, 12])
     fs = [A] * 3
     lhs = lambda_linear(sysspec, fs, restricted=True)
-    q2 = kth_power_residues(ctx, 2).elements.astype(float)
+    q2 = kth_power_residues(ctx, 2).astype(float)
     weighted = lambda_ap_weighted(fs, q2)
     # boundary: x2 = 0 contributes 1_A(x1)^3 to lhs once per x1
     boundary = sum(A.values[x].real for x in range(13)) / 13**2
@@ -341,6 +341,31 @@ def test_lambda_linear_budget():
             [constant(ctx)] * 2,
             False,
         )
+
+
+@pytest.mark.parametrize(
+    "scan, terms",
+    [
+        (lambda spec, fs, bits: lambda_poly(spec, fs), 101 * 101 * 4),
+        (lambda spec, fs, bits: dual_function(spec, fs, 1), 101 * 101 * 3),
+        (lambda spec, fs, bits: find_progression(bits, spec), 101 * 100 * 4),
+    ],
+    ids=["lambda_poly", "dual_function", "find_progression"],
+)
+def test_scans_charge_before_the_first_block(scan, terms):
+    # p^2 n, p^2 (n - 1) and p (p - 1) n terms for the spec's n = 4 slots at p = 101
+    ctx = make_field(101)
+    spec = parse_progression_spec("m=3;P=y^2")
+    fs = [unimodular(ctx, seed) for seed in range(4)]
+    bits = np.ones(101, dtype=bool)
+    set_budget(terms - 1)
+    try:
+        with pytest.raises(BudgetExceeded, match=r"\(x, y\) scan\(p=101"):
+            scan(spec, fs, bits)
+        set_budget(terms)
+        scan(spec, fs, bits)
+    finally:
+        set_budget(None)
 
 
 # --- search ---------------------------------------------------------------

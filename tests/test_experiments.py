@@ -209,7 +209,7 @@ def test_character_u3_matches_symmetry_route(p):
     for k in range(2, p):
         if (p - 1) % k:
             continue
-        chi = FpFunction(ctx, mult_character(ctx, k).values, bounded=True)
+        chi = FpFunction(ctx, mult_character(ctx, k), bounded=True)
         abs_sq = FpFunction(ctx, np.abs(chi.values) ** 2, bounded=True)
         u2_4 = [gowers_fast(g, 2) ** 4 for g in (abs_sq, mult_derivative(chi, 1))]
         symmetric = (u2_4[0] + (p - 1) * u2_4[1]) / p
@@ -231,6 +231,13 @@ def test_weil_examples():
         weil_corollary_check(ctx13, 2, 2, (0, 1))  # wrong point count
     with pytest.raises(ValueError):
         weil_corollary_check(ctx13, 2, 0, ())  # no factors: modulus 1 against bound 0
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_weil_refuses_orders_below_one(k):
+    # gcd would read k = 0 as order p - 1 and k = -2 as order 2
+    with pytest.raises(UsageError, match=f"k must be >= 1, got {k}"):
+        weil_corollary_check(make_field(101), k, 1, (0, 1))
 
 
 @pytest.mark.parametrize(
@@ -285,7 +292,7 @@ def test_restricted_ap_full_set():
     from ffprog.counting import lambda_ap_weighted
 
     f = constant(ctx)
-    weight = kth_power_residues(ctx, 2).elements.astype(float)
+    weight = kth_power_residues(ctx, 2).astype(float)
     lhs = lambda_ap_weighted([f] * 3, weight)
     rhs = lambda_ap([f] * 3) / 2
     assert abs(lhs - rhs) <= 2 / 101

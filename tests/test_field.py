@@ -14,7 +14,7 @@ from ffprog import (
     mult_character,
     residue_indicator_via_characters,
 )
-from ffprog.field import FieldCtx
+from ffprog.field import FieldCtx, pow_mod
 
 PRIMES_TO_101 = [p for p in range(2, 102) if is_prime(p)]
 
@@ -52,11 +52,55 @@ def test_twiddle_table_accuracy():
     assert np.abs(ctx.twiddle - expected).max() < 1e-12
 
 
+@pytest.mark.parametrize("p", PRIMES_TO_101 + [10007])
+def test_power_table_walks_the_generator(p):
+    ctx = make_field(p)
+    assert "powers" not in vars(ctx)  # make_field builds no table
+    powers = ctx.powers
+    assert not powers.flags.writeable
+    assert powers.dtype == np.int64 and powers[0] == 1
+    assert np.array_equal(np.sort(powers), np.arange(1, p))
+    assert np.array_equal(powers[1:], ctx.g * powers[:-1] % p)
+
+
+@pytest.mark.parametrize("p", [2, 11, 101])
+@pytest.mark.parametrize("k", ["1", "2", "3", "p-1", "p", "2^70+3"])
+def test_pow_mod_matches_python_pow(p, k):
+    k = {"p-1": p - 1, "p": p, "2^70+3": 2**70 + 3}.get(k) or int(k)
+    xs = np.arange(p)
+    assert pow_mod(xs, k, p).tolist() == [pow(x, k, p) for x in range(p)]
+    with pytest.raises(UsageError, match="k must be >= 0"):
+        pow_mod(xs, -k, p)
+
+
+def _walk(ctx, step):
+    """g^0, g^step, g^(2 step), ... up to g^(p - 1), one Python multiplication at a time."""
+    x = 1
+    for _ in range((ctx.p - 1) // step):
+        yield x
+        x = x * pow(ctx.g, step, ctx.p) % ctx.p
+
+
+@pytest.mark.parametrize("p", [101, 10007])
+def test_tables_match_the_generator_walk(p):
+    ctx = make_field(p)
+    for k in [k for k in range(1, p) if (p - 1) % k == 0]:
+        roots = np.exp(2j * np.pi * np.arange(k) / k)
+        chi = np.zeros(p, dtype=np.complex128)
+        for l, x in enumerate(_walk(ctx, 1)):
+            chi[x] = roots[l % k]
+        q = np.zeros(p, dtype=bool)
+        q[list(_walk(ctx, k))] = True
+        got_chi, got_q = mult_character(ctx, k), kth_power_residues(ctx, k)
+        assert got_chi.tobytes() == chi.tobytes() and got_q.tobytes() == q.tobytes()
+        assert not got_chi.flags.writeable and not got_q.flags.writeable
+
+
 def test_kth_power_residue_examples():
     ctx = make_field(7)
-    assert sorted(np.flatnonzero(kth_power_residues(ctx, 2).elements)) == [1, 2, 4]
-    assert sorted(np.flatnonzero(kth_power_residues(ctx, 1).elements)) == [1, 2, 3, 4, 5, 6]
-    assert sorted(np.flatnonzero(kth_power_residues(ctx, 3).elements)) == [1, 6]
+    assert sorted(np.flatnonzero(kth_power_residues(ctx, 2))) == [1, 2, 4]
+    assert sorted(np.flatnonzero(kth_power_residues(ctx, 1))) == [1, 2, 3, 4, 5, 6]
+    assert sorted(np.flatnonzero(kth_power_residues(ctx, 3))) == [1, 6]
 
 
 def test_residues_match_direct_exponentiation():
@@ -66,11 +110,11 @@ def test_residues_match_direct_exponentiation():
         for k in range(1, 13):
             got = kth_power_residues(ctx, k)
             direct = {pow(x, k, p) for x in range(1, p)}
-            assert set(np.flatnonzero(got.elements).tolist()) == direct
+            assert set(np.flatnonzero(got).tolist()) == direct
             d = math.gcd(k, p - 1)
-            assert got.size() * d == p - 1
+            assert got.sum() * d == p - 1
             reduced = kth_power_residues(ctx, d)
-            assert np.array_equal(got.elements, reduced.elements)
+            assert np.array_equal(got, reduced)
 
 
 def test_character_order_must_divide():
@@ -83,19 +127,18 @@ def test_quadratic_character_is_euler_criterion():
     for p in (7, 11, 13, 31):
         ctx = make_field(p)
         chi = mult_character(ctx, 2)
-        assert chi(0) == 0
+        assert chi[0] == 0
         for x in range(1, p):
             euler = pow(x, (p - 1) // 2, p)
             expected = 1.0 if euler == 1 else -1.0
-            assert abs(chi(x) - expected) < 1e-12
+            assert abs(chi[x] - expected) < 1e-12
 
 
 def test_character_multiplicativity_exhaustive():
     for p in PRIMES_TO_101:
         ctx = make_field(p)
         for k in [k for k in range(1, p) if (p - 1) % k == 0][:4]:
-            chi = mult_character(ctx, k)
-            vals = chi.values
+            vals = mult_character(ctx, k)
             xs = np.arange(1, p)
             prod_table = vals[np.outer(xs, xs) % p]
             assert np.abs(prod_table - np.outer(vals[1:], vals[1:])).max() < 1e-9
@@ -104,8 +147,7 @@ def test_character_multiplicativity_exhaustive():
 def test_character_values_are_kth_roots():
     ctx = make_field(31)
     for k in (2, 3, 5, 6, 10, 15, 30):
-        chi = mult_character(ctx, k)
-        units = chi.values[1:]
+        units = mult_character(ctx, k)[1:]
         assert np.abs(units**k - 1.0).max() < 1e-9
 
 
@@ -115,8 +157,16 @@ def test_character_detects_residues():
         chi = mult_character(ctx, k)
         q = kth_power_residues(ctx, k)
         for x in range(31):
-            in_q = bool(q.elements[x])
-            assert (abs(chi(x) - 1) < 1e-9) == in_q
+            in_q = bool(q[x])
+            assert (abs(chi[x] - 1) < 1e-9) == in_q
+
+
+def test_indicator_refuses_what_the_character_refuses():
+    ctx = make_field(7)
+    with pytest.raises(UsageError, match="k must be >= 1"):
+        residue_indicator_via_characters(ctx, 0, 2)
+    with pytest.raises(UsageError, match="k=4 does not divide p-1=6"):
+        residue_indicator_via_characters(ctx, 4, 2)
 
 
 def test_indicator_decomposition_principal():
@@ -139,7 +189,7 @@ def test_indicator_decomposition_everywhere():
         for k in [k for k in range(1, p) if (p - 1) % k == 0]:
             q = kth_power_residues(ctx, k)
             for x in range(p):
-                want = 1.0 if q.elements[x] else 0.0
+                want = 1.0 if q[x] else 0.0
                 assert abs(residue_indicator_via_characters(ctx, k, x) - want) < 1e-9
 
 
