@@ -206,30 +206,40 @@ def _warn_on_degree_collapse(spec: ProgressionSpec, p: int) -> None:
             )
 
 
-def _slot_reduce(arrays, offsets, p: int, ufunc, dtype):
-    """Yield (y0, acc) over blocks of y: acc[y - y0, x] = ufunc_j arrays[j][x + offsets[j][y]].
+def _slot_reduce(arrays, offsets, p: int, ufunc, dtype, prefix=None):
+    """Yield (y0, taken, acc) over blocks of y, acc[y - y0, x] = ufunc_{j<taken} a_j(x + o_j[y]).
 
-    The one (x, y) scan behind Lambda, dual functions, find_progression, the exact search's
-    instance table and the counterexample identity. acc starts at the ufunc's identity and
-    takes the slots in order, each gathered straight into it, so a block of about 2^21
-    entries is the largest temporary. With no slots the blocks still cover p values of y.
-    The budget is charged rows * p * slots before the first block.
+    a_j is arrays[j] and o_j is offsets[j]. This is the one (x, y) scan behind Lambda, dual
+    functions, find_progression, the exact search's instance table and the counterexample
+    identity. acc starts as slot 0's gather, a fresh array, and takes the other slots in
+    order, each gathered straight into it, so a block of about 2^21 entries is the largest
+    temporary. A block is yielded once all its slots are in (taken = len(arrays)) and, before
+    that, after its first `prefix` slots, so a caller reads a prefix of the configuration
+    from the same pass; it must read a block before it asks for the next. With no slots acc
+    is the ufunc's identity, and the blocks still cover p values of y. The budget is charged
+    rows * p * slots before the first block.
     """
     windows = [_shift_rows(a) for a in arrays]  # row j of a shift view is x -> a(x + j)
     chunk = max(1, (1 << 21) // max(p, 1))  # an empty bitset (p = 0) scans no rows
     rows = len(offsets[0]) if offsets else p
     charge(rows * p * len(arrays), f"(x, y) scan(p={p}, slots={len(arrays)})")
     for y0 in range(0, rows, chunk):
-        acc = np.full((min(chunk, rows - y0), p), ufunc.identity, dtype=dtype)
-        for w, off in zip(windows, offsets):
-            ufunc(acc, w[off[y0 : y0 + chunk]], out=acc)
-        yield y0, acc
+        ys = slice(y0, y0 + chunk)
+        if windows:
+            acc = windows[0][offsets[0][ys]].astype(dtype, copy=False)
+        else:
+            acc = np.full((min(chunk, rows - y0), p), ufunc.identity, dtype=dtype)
+        for taken in range(1, len(windows)):
+            if taken == prefix:
+                yield y0, taken, acc
+            ufunc(acc, windows[taken][offsets[taken][ys]], out=acc)
+        yield y0, len(windows), acc
 
 
 def _product_mean(fs, offsets, p: int, y_weight=None) -> complex:
     """E_{x,y} prod_j f_j(x + offsets[j](y)) [* y_weight(y)]."""
     total = 0.0 + 0j
-    for y0, prod in _slot_reduce([f.values for f in fs], offsets, p, np.multiply, np.complex128):
+    for y0, _, prod in _slot_reduce([f.values for f in fs], offsets, p, np.multiply, np.complex128):
         if y_weight is not None:
             prod *= y_weight[y0 : y0 + len(prod), None]
         total += prod.sum()
@@ -243,6 +253,23 @@ def lambda_poly(spec: ProgressionSpec, fs) -> complex:
     ctx = _require_same_ctx(fs)
     _warn_on_degree_collapse(spec, ctx.p)
     return _product_mean(fs, config_offsets(spec, ctx.p), ctx.p)
+
+
+def lambda_poly_and_ap(spec: ProgressionSpec, fs) -> tuple[complex, complex]:
+    """(lambda_poly(spec, fs), lambda_ap(fs[:m])) from one scan: the AP count is the mean of
+    the product over the configuration's first m slots, read before the k polynomial slots."""
+    if len(fs) != spec.total_points:
+        raise UsageError(f"expected {spec.total_points} functions, got {len(fs)}")
+    ctx = _require_same_ctx(fs)
+    p = ctx.p
+    _warn_on_degree_collapse(spec, p)
+    n = spec.total_points
+    totals = dict.fromkeys((spec.m, n), 0.0 + 0j)  # one key when k = 0
+    values = [f.values for f in fs]
+    offsets = config_offsets(spec, p)
+    for _, taken, prod in _slot_reduce(values, offsets, p, np.multiply, np.complex128, spec.m):
+        totals[taken] += prod.sum()
+    return totals[n] / (p * p), totals[spec.m] / (p * p)
 
 
 def lambda_ap(fs) -> complex:
@@ -276,7 +303,8 @@ def dual_function(spec: ProgressionSpec, fs, omit: int) -> FpFunction:
     others = [f for j, f in enumerate(fs) if j != omit]
     shifts = [(off - offsets[omit]) % p for j, off in enumerate(offsets) if j != omit]
     out = np.zeros(p, dtype=np.complex128)
-    for _, prod in _slot_reduce([f.values for f in others], shifts, p, np.multiply, np.complex128):
+    blocks = _slot_reduce([f.values for f in others], shifts, p, np.multiply, np.complex128)
+    for _, _, prod in blocks:
         out += prod.sum(axis=0)
     out /= p
     bounded = all(f.bounded for f in others)
@@ -372,7 +400,7 @@ def find_progression(A, spec: ProgressionSpec, p: int | None = None):
         p = len(arr)
     bits = as_bitset(A, p)
     offsets = [off[1:] for off in config_offsets(spec, p)]  # y = 1 .. p-1
-    for y0, hit in _slot_reduce([bits] * len(offsets), offsets, p, np.logical_and, bool):
+    for y0, _, hit in _slot_reduce([bits] * len(offsets), offsets, p, np.logical_and, bool):
         first = int(hit.argmax())  # row-major: the smallest y, then the smallest x
         if hit.flat[first]:
             return first % p, 1 + y0 + first // p
@@ -388,7 +416,7 @@ def _instance_masks(spec: ProgressionSpec, p: int) -> list[int]:
     offsets = [off[1:] for off in config_offsets(spec, p)]
     weights = np.left_shift(1, np.arange(p, dtype=np.int64))
     blocks = _slot_reduce([weights] * len(offsets), offsets, p, np.bitwise_or, np.int64)
-    return sorted({mask for _, acc in blocks for mask in acc.ravel().tolist()})
+    return sorted({mask for _, _, acc in blocks for mask in acc.ravel().tolist()})
 
 
 def exact_max_free_set(ctx: FieldCtx, spec: ProgressionSpec) -> tuple[int, list[int]]:

@@ -21,7 +21,7 @@ from .counting import (
     find_progression,
     lambda_ap,
     lambda_ap_weighted,
-    lambda_poly,
+    lambda_poly_and_ap,
     monomial,
     require_valid,
 )
@@ -166,8 +166,7 @@ class TrialFunctionFamily:
 def discorrelation_error(ctx: FieldCtx, spec: ProgressionSpec, fs) -> float:
     """| Lambda_{m,P...}(f_0..f_{m+k-1}) - Lambda_m(f_0..f_{m-1}) * prod_{j>=m} E f_j |."""
     require_valid(spec)
-    lhs = lambda_poly(spec, fs)
-    rhs = lambda_ap(fs[: spec.m])
+    lhs, rhs = lambda_poly_and_ap(spec, fs)
     for f in fs[spec.m :]:
         rhs *= f.mean()
     return abs(lhs - rhs)
@@ -241,13 +240,12 @@ def counterexample_demo(ctx: FieldCtx, a: int) -> tuple[float, float]:
     q3 = t
     spec = ProgressionSpec(m=3, polys=(monomial(2),))
     # identity Q_0(x) + Q_1(x+y) + Q_2(x+2y) + Q_3(x+y^2) == 0 on all of F_p^2
-    for _, total in _slot_reduce([q0, q1, q2, q3], config_offsets(spec, p), p, np.add, np.int64):
+    for _, _, total in _slot_reduce([q0, q1, q2, q3], config_offsets(spec, p), p, np.add, np.int64):
         if (total % p).any():
             raise BoundViolation("phase cancellation identity failed")
     fs = [FpFunction(ctx, ctx.twiddle[a * q % p], bounded=True) for q in (q0, q1, q2, q3)]
-    lhs = abs(lambda_poly(spec, fs))
-    rhs = abs(lambda_ap(fs[:3]) * fs[3].mean())
-    return lhs, rhs
+    lam, lam_ap = lambda_poly_and_ap(spec, fs)  # the spec is invalid on purpose: no require_valid
+    return abs(lam), abs(lam_ap * fs[3].mean())
 
 
 # ---------------------------------------------------------------------------

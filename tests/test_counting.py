@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from ffprog import (
     set_budget,
     validate_spec,
 )
-from ffprog.counting import _instance_masks, lambda_ap_weighted
+from ffprog.counting import _instance_masks, lambda_ap_weighted, lambda_poly_and_ap
 
 
 def unimodular(ctx, seed):
@@ -169,6 +170,35 @@ def test_lambda_poly_matches_double_sum(text):
                 term *= complex(f.values[pt % p])
             total += term
     assert abs(lambda_poly(spec, fs) - total / p**2) < 1e-12
+
+
+@pytest.mark.parametrize("p", [101, 3001])
+@pytest.mark.parametrize("text", ["m=3;P=y^3,y^4", "m=3", "m=1;P=y^3", "m=2;P=-y^2+2y^3"])
+def test_lambda_poly_and_ap_equals_both_routes(text, p):
+    # a block holds 2^21 // p rows of y (698 at p = 3001), so there the sums cross blocks;
+    # at m=3 the AP prefix is the whole configuration
+    ctx = make_field(p)
+    spec = parse_progression_spec(text)
+    n = spec.total_points
+    rng = np.random.default_rng(p)
+    for fs in (
+        [unimodular(ctx, p + j) for j in range(n)],
+        [indicator(ctx, np.flatnonzero(rng.random(p) < 0.5)) for _ in range(n)],
+    ):
+        assert lambda_poly_and_ap(spec, fs) == (lambda_poly(spec, fs), lambda_ap(fs[: spec.m]))
+
+
+def test_lambda_poly_and_ap_checks_its_inputs():
+    ctx = make_field(11)
+    spec = parse_progression_spec("m=3;P=y^3")
+    with pytest.raises(UsageError, match="expected 4 functions, got 3"):
+        lambda_poly_and_ap(spec, [constant(ctx)] * 3)
+    with pytest.raises(UsageError, match="different fields"):
+        lambda_poly_and_ap(spec, [constant(ctx)] * 3 + [constant(make_field(13))])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        lambda_poly_and_ap(parse_progression_spec("m=3;P=11y^4+y^3"), [constant(ctx)] * 4)
+    assert [w.filename for w in caught] == [__file__]  # points at the caller
 
 
 def test_lambda_multilinearity():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,31 @@ def test_discorrelation_error_examples():
     assert discorrelation_error(ctx, SPEC34, [constant(ctx)] * 5) == 0.0
     with pytest.raises(InvalidSpec):
         discorrelation_error(ctx, ProgressionSpec(3, (monomial(2),)), [constant(ctx)] * 4)
+
+
+def test_discorrelation_error_warns_once_on_degree_collapse():
+    # 101y^4 + y^3 passes the degree condition over Q but has degree 3 mod 101
+    ctx = make_field(101)
+    spec = parse_progression_spec("m=3;P=101y^4+y^3")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        discorrelation_error(ctx, spec, [constant(ctx)] * 4)
+    assert len(caught) == 1 and "loses degree mod 101" in str(caught[0].message)
+    assert caught[0].filename == experiments.__file__
+
+
+def test_discorrelation_error_charges_one_scan():
+    # both counts come from one p^2 n scan, so p^2 n terms is exactly enough
+    ctx = make_field(101)
+    fs = [constant(ctx)] * 5
+    set_budget(101 * 101 * 5 - 1)
+    try:
+        with pytest.raises(BudgetExceeded, match=r"\(x, y\) scan\(p=101, slots=5\)"):
+            discorrelation_error(ctx, SPEC34, fs)
+        set_budget(101 * 101 * 5)
+        assert discorrelation_error(ctx, SPEC34, fs) == 0.0
+    finally:
+        set_budget(None)
 
 
 def test_discorrelation_failure_example_is_large():
