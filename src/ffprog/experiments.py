@@ -26,7 +26,7 @@ from .counting import (
     require_valid,
 )
 from .errors import BoundViolation, UsageError
-from .field import FieldCtx, is_prime, kth_power_residues, make_field, mult_character
+from .field import FieldCtx, divisors, is_prime, kth_power_residues, make_field, mult_character
 from .harmonic import FpFunction, gowers_fast
 from . import counting
 
@@ -144,7 +144,7 @@ class TrialFunctionFamily:
             xs = np.arange(p, dtype=np.int64)
             vals = ctx.twiddle[(a % p) * (xs * xs % p) % p]
         else:  # character_phase
-            orders = [k for k in range(2, p) if (p - 1) % k == 0]
+            orders = divisors(p - 1)[1:]
             if not orders:
                 raise UsageError(f"p={p} has no nonprincipal character")
             k = orders[int(rng.integers(0, len(orders)))]
@@ -266,11 +266,11 @@ def character_norm_decay(primes, s: int, orders="all") -> SweepReport:
     plan: list[tuple[int, list[int]]] = []
     for p in _checked_primes(primes):
         # one U^s evaluation costs p^{s-1} log p; charge every prime before any table is built,
-        # and one evaluation's worth before the O(p) scan for the divisors of p - 1
+        # and one evaluation's worth before the O(sqrt p) scan for the divisors of p - 1
         cost = p ** (s - 1) * max(1, math.ceil(math.log2(p)))
         charge(cost, f"character_norm_decay(p={p})")
         if orders == "all":
-            ks = [k for k in range(1, p) if (p - 1) % k == 0]
+            ks = divisors(p - 1)
         else:
             ks = [math.gcd(int(orders), p - 1)]
         charge(len(ks) * cost, f"character_norm_decay(p={p})")

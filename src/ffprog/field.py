@@ -56,6 +56,12 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+def divisors(n: int) -> list[int]:
+    """Divisors of n >= 1 in ascending order, by trial division up to sqrt(n)."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
 def smallest_primitive_root(p: int) -> int:
     """Smallest g generating F_p^x, found by checking g^((p-1)/q) != 1 for prime q | p-1."""
     if p == 2:

@@ -222,7 +222,7 @@ def test_character_norm_decay_charges_before_building_fields(monkeypatch):
 
 
 def test_character_norm_decay_huge_prime_is_refused_by_budget():
-    # one evaluation's charge comes before the O(p) scan for the divisors of p - 1
+    # one evaluation's charge comes before the O(sqrt p) scan for the divisors of p - 1
     with pytest.raises(BudgetExceeded, match="p=2305843009213693951"):
         character_norm_decay([2**61 - 1], 2)
 

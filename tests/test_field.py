@@ -14,7 +14,7 @@ from ffprog import (
     mult_character,
     residue_indicator_via_characters,
 )
-from ffprog.field import FieldCtx, pow_mod
+from ffprog.field import FieldCtx, divisors, pow_mod
 
 PRIMES_TO_101 = [p for p in range(2, 102) if is_prime(p)]
 
@@ -33,6 +33,12 @@ def test_make_field_rejects_moduli_past_int64_products():
     assert is_prime(2**61 - 1)
     with pytest.raises(UsageError, match="int64"):
         make_field(2**61 - 1)
+
+
+def test_divisors_match_the_brute_scan():
+    # character_norm_decay lists every k | p - 1, the character-phase family those past k = 1
+    for p in list(range(2, 2001)) + [10007, 1000003]:
+        assert divisors(p - 1) == [k for k in range(1, p) if (p - 1) % k == 0], p
 
 
 def test_primitive_root_has_full_order():

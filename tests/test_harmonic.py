@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ffprog import (
     norms,
     set_budget,
 )
+from ffprog.harmonic import _dft_sum_fast, _nested_derivatives
 
 
 def random_unimodular(ctx, seed):
@@ -189,6 +191,52 @@ def test_gowers_direct_matches_corner_sum(p, s):
 def test_gowers_fast_matches_direct_u4(p):
     f = random_unimodular(make_field(p), 40 + p)
     assert abs(gowers_fast(f, 4) - gowers_direct(f, 4)) < 1e-12
+
+
+def _gowers_fast_by_row(f, s):
+    """gowers_fast's U^2-Fourier identity with one chirp transform per derivative row."""
+    p = f.p
+    acc = 0.0
+    for d in _nested_derivatives(f.values, s - 2):
+        coeffs = _dft_sum_fast(d) / p
+        acc += float((np.abs(coeffs) ** 4).sum())
+    return (acc / p ** (s - 2)) ** (1.0 / (1 << s))
+
+
+@pytest.mark.parametrize(
+    "p, s",
+    [(p, s) for p in (2, 3, 5, 7, 13, 101, 2003) for s in (2, 3)] + [(p, 4) for p in (5, 7, 13)],
+)
+def test_gowers_fast_matches_the_row_by_row_route(p, s):
+    # p % 8 != 0 throughout, so the last block of rows is short; p < 8 is one short block
+    ctx = make_field(p)
+    rng = np.random.default_rng(7 * p + s)
+    amplitude = FpFunction(ctx, rng.random(p) * np.exp(2j * np.pi * rng.random(p)), bounded=True)
+    for f in (random_unimodular(ctx, 3 * p + s), amplitude):
+        assert gowers_fast(f, s) == _gowers_fast_by_row(f, s)
+
+
+@pytest.mark.parametrize("p", [2, 7, 13, 101, 2003])
+def test_dft_sum_fast_block_matches_row_calls(p):
+    # the batched rows rest on pocketfft giving each row of a block the bits of its 1-D call
+    rng = np.random.default_rng(p)
+    block = rng.random((8, p)) + 1j * rng.random((8, p))
+    for r in (1, 3, 8):
+        rows = np.stack([_dft_sum_fast(row) for row in block[:r]])
+        assert _dft_sum_fast(block[:r]).tobytes() == rows.tobytes()
+
+
+def test_gowers_fast_memory_is_a_few_row_blocks():
+    # a block of rows holds a few (8, L) temporaries; all p rows at once would be ~130 MiB each
+    f = random_unimodular(make_field(2003), 5)
+    gowers_fast(f, 2)  # caches the chirp plan
+    tracemalloc.start()
+    try:
+        gowers_fast(f, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_derivative_recursion():
