@@ -206,34 +206,54 @@ def _warn_on_degree_collapse(spec: ProgressionSpec, p: int) -> None:
             )
 
 
+# Entries per strip of rows in _slot_reduce: a strip of the block and one slot's gather (256 KiB
+# each in complex128) stay in L2. A 5-slot scan at p = 809 / 1451 on a 2-vCPU Xeon (2 MiB L2
+# per core) took 2.6 / 2.6 ns per slot-entry with strips of 2^14 or 2^15 entries, 3.2-4.1 ns
+# with 2^12-2^13, 3.5-3.9 ns with 2^17, and 4.2 / 4.9 ns gathering whole blocks; do not go
+# back to whole-block gathers. Below p ~ 250 a block fits in L2 and strips gain nothing.
+# np.take(view, rows, axis=0, out=...) is no way to gather in place: it first copies the
+# whole p x p shift view (~60x slower than indexing, per strip at p = 809).
+_STRIP = 1 << 14
+
+
 def _slot_reduce(arrays, offsets, p: int, ufunc, dtype, prefix=None):
     """Yield (y0, taken, acc) over blocks of y, acc[y - y0, x] = ufunc_{j<taken} a_j(x + o_j[y]).
 
     a_j is arrays[j] and o_j is offsets[j]. This is the one (x, y) scan behind Lambda, dual
     functions, find_progression, the exact search's instance table and the counterexample
-    identity. acc starts as slot 0's gather, a fresh array, and takes the other slots in
-    order, each gathered straight into it, so a block of about 2^21 entries is the largest
-    temporary. A block is yielded once all its slots are in (taken = len(arrays)) and, before
-    that, after its first `prefix` slots, so a caller reads a prefix of the configuration
-    from the same pass; it must read a block before it asks for the next. With no slots acc
-    is the ufunc's identity, and the blocks still cover p values of y. The budget is charged
+    identity. A block holds about 2^21 entries, and it is the only full-size array: it is
+    filled one strip of about _STRIP entries at a time, slot 0's gather copied in and each
+    later slot's gather, a strip-sized temporary, folded in by ufunc in slot order. A block
+    is yielded once all its slots are in (taken = len(arrays)) and, before that, after its
+    first `prefix` slots, so a caller reads a prefix of the configuration from the same pass;
+    it must read a block before it asks for the next. With no slots acc is the ufunc's
+    identity, and the blocks still cover p values of y. The budget is charged
     rows * p * slots before the first block.
     """
     windows = [_shift_rows(a) for a in arrays]  # row j of a shift view is x -> a(x + j)
     chunk = max(1, (1 << 21) // max(p, 1))  # an empty bitset (p = 0) scans no rows
+    strip = max(1, _STRIP // max(p, 1))
     rows = len(offsets[0]) if offsets else p
-    charge(rows * p * len(arrays), f"(x, y) scan(p={p}, slots={len(arrays)})")
+    n = len(windows)
+    charge(rows * p * n, f"(x, y) scan(p={p}, slots={n})")
+    stops = [prefix, n] if prefix is not None and 0 < prefix < n else [n]
     for y0 in range(0, rows, chunk):
-        ys = slice(y0, y0 + chunk)
-        if windows:
-            acc = windows[0][offsets[0][ys]].astype(dtype, copy=False)
-        else:
-            acc = np.full((min(chunk, rows - y0), p), ufunc.identity, dtype=dtype)
-        for taken in range(1, len(windows)):
-            if taken == prefix:
-                yield y0, taken, acc
-            ufunc(acc, windows[taken][offsets[taken][ys]], out=acc)
-        yield y0, len(windows), acc
+        y1 = min(y0 + chunk, rows)
+        if not windows:
+            yield y0, 0, np.full((y1 - y0, p), ufunc.identity, dtype=dtype)
+            continue
+        acc = np.empty((y1 - y0, p), dtype=dtype)
+        start = 0
+        for stop in stops:
+            for r0 in range(y0, y1, strip):
+                ys = slice(r0, min(r0 + strip, y1))
+                part = acc[r0 - y0 : ys.stop - y0]
+                if start == 0:
+                    part[...] = windows[0][offsets[0][ys]]
+                for j in range(max(start, 1), stop):
+                    ufunc(part, windows[j][offsets[j][ys]], out=part)
+            yield y0, stop, acc
+            start = stop
 
 
 def _product_mean(fs, offsets, p: int, y_weight=None) -> complex:

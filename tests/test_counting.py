@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -30,7 +31,15 @@ from ffprog import (
     set_budget,
     validate_spec,
 )
-from ffprog.counting import _instance_masks, lambda_ap_weighted, lambda_poly_and_ap
+from ffprog import counting
+from ffprog.counting import (
+    _instance_masks,
+    _slot_reduce,
+    config_offsets,
+    lambda_ap_weighted,
+    lambda_poly_and_ap,
+)
+from ffprog.harmonic import _shift_rows
 
 
 def unimodular(ctx, seed):
@@ -398,6 +407,143 @@ def test_scans_charge_before_the_first_block(scan, terms):
         set_budget(None)
 
 
+# --- the (x, y) scan ------------------------------------------------------
+
+
+def _straight_slot_reduce(arrays, offsets, p, ufunc, dtype, prefix=None):
+    """The scan without strips, kept as the reference: each slot gathered over a whole block."""
+    windows = [_shift_rows(a) for a in arrays]
+    chunk = max(1, (1 << 21) // max(p, 1))
+    rows = len(offsets[0]) if offsets else p
+    for y0 in range(0, rows, chunk):
+        ys = slice(y0, y0 + chunk)
+        if windows:
+            acc = windows[0][offsets[0][ys]].astype(dtype, copy=False)
+        else:
+            acc = np.full((min(chunk, rows - y0), p), ufunc.identity, dtype=dtype)
+        for taken in range(1, len(windows)):
+            if taken == prefix:
+                yield y0, taken, acc
+            ufunc(acc, windows[taken][offsets[taken][ys]], out=acc)
+        yield y0, len(windows), acc
+
+
+def _assert_same_blocks(*args):
+    """_slot_reduce and the reference yield the same (y0, taken) and the same block bits."""
+    pairs = itertools.zip_longest(_slot_reduce(*args), _straight_slot_reduce(*args))
+    for new, old in pairs:
+        assert new is not None and old is not None
+        assert new[:2] == old[:2]
+        assert new[2].dtype == old[2].dtype and new[2].shape == old[2].shape
+        assert np.array_equal(new[2], old[2]) and new[2].tobytes() == old[2].tobytes()
+
+
+def _scan_by_definition(arrays, offsets, p, op, dtype):
+    """acc[y, x] = op over slots of arrays[j][(x + offsets[j][y]) % p], one entry at a time."""
+    rows = len(offsets[0])
+    acc = np.empty((rows, p), dtype=dtype)
+    for y in range(rows):
+        for x in range(p):
+            value = arrays[0][(x + offsets[0][y]) % p]
+            for a, off in zip(arrays[1:], offsets[1:]):
+                value = op(value, a[(x + off[y]) % p])
+            acc[y, x] = value
+    return acc
+
+
+# p = 809: 20-row strips do not divide the 809 rows. p = 1451: the y range spans two blocks.
+@pytest.mark.parametrize("p", [5, 101, 809, MULTI_CHUNK_P])
+def test_slot_reduce_matches_straight_scan(p):
+    spec = parse_progression_spec("m=3;P=y^3,y^4")
+    rng = np.random.default_rng(p)
+    offsets = config_offsets(spec, p)
+    n = spec.total_points
+    values = [np.exp(2j * np.pi * rng.random(p)) for _ in range(n)]
+    for prefix in (None, spec.m, n):
+        _assert_same_blocks(values, offsets, p, np.multiply, np.complex128, prefix)
+    nonzero_y = [off[1:] for off in offsets]
+    bits = rng.random(p) < 0.7
+    _assert_same_blocks([bits] * n, nonzero_y, p, np.logical_and, bool)
+    masks = [rng.integers(0, 1 << 62, p, dtype=np.int64) for _ in range(n)]
+    _assert_same_blocks(masks, nonzero_y, p, np.bitwise_or, np.int64)
+
+
+@pytest.mark.parametrize("p", [2, 3, MULTI_CHUNK_P])
+@pytest.mark.parametrize(
+    "ufunc, dtype",
+    [(np.multiply, np.complex128), (np.logical_and, bool), (np.bitwise_or, np.int64)],
+)
+def test_slot_reduce_without_slots_yields_identity_over_p_rows(p, ufunc, dtype):
+    blocks = [(y0, taken, acc.copy()) for y0, taken, acc in _slot_reduce([], [], p, ufunc, dtype)]
+    assert [taken for _, taken, _ in blocks] == [0] * len(blocks)
+    assert [y0 for y0, _, _ in blocks] == list(range(0, p, (1 << 21) // p))
+    whole = np.concatenate([acc for _, _, acc in blocks])
+    assert whole.shape == (p, p) and whole.dtype == dtype
+    assert (whole == ufunc.identity).all()
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+@pytest.mark.parametrize("text", ["m=1", "m=3", "m=3;P=y^2"])
+def test_slot_reduce_on_small_fields(p, text):
+    spec = parse_progression_spec(text)
+    rng = np.random.default_rng(10 * p + spec.total_points)
+    n = spec.total_points
+    offsets = config_offsets(spec, p)
+    values = [np.exp(2j * np.pi * rng.random(p)) for _ in range(n)]
+    seen = []
+    for y0, taken, acc in _slot_reduce(values, offsets, p, np.multiply, np.complex128, spec.m):
+        seen.append((y0, taken))
+        expected = _scan_by_definition(values[:taken], offsets[:taken], p, np.multiply, complex)
+        assert acc.tobytes() == expected.tobytes()
+    assert seen == ([(0, spec.m)] if spec.m < n else []) + [(0, n)]  # prefix n is not yielded
+    # rows = p - 1, as in find_progression and _instance_masks: y runs over 1 .. p-1
+    nonzero_y = [off[1:] for off in offsets]
+    masks = [np.left_shift(1, np.arange(p, dtype=np.int64))] * n
+    blocks = list(_slot_reduce(masks, nonzero_y, p, np.bitwise_or, np.int64))
+    assert len(blocks) == 1 and blocks[0][2].shape == (p - 1, p)
+    expected = _scan_by_definition(masks, nonzero_y, p, np.bitwise_or, np.int64)
+    assert np.array_equal(blocks[0][2], expected)
+
+
+@pytest.mark.parametrize("rows", ["p", "p - 1"])
+def test_slot_reduce_with_a_short_last_strip(monkeypatch, rows):
+    # 33-entry strips are 3 rows at p = 11: 11 rows take strips of 3, 3, 3 and 2, 10 rows
+    # take 3, 3, 3 and 1
+    p = 11
+    monkeypatch.setattr(counting, "_STRIP", 33)
+    spec = parse_progression_spec("m=3;P=y^3,y^4")
+    offsets = config_offsets(spec, p)
+    if rows == "p - 1":
+        offsets = [off[1:] for off in offsets]
+    assert len(offsets[0]) % (33 // p) != 0
+    rng = np.random.default_rng(7)
+    values = [np.exp(2j * np.pi * rng.random(p)) for _ in range(spec.total_points)]
+    seen = []
+    for y0, taken, acc in _slot_reduce(values, offsets, p, np.multiply, np.complex128, spec.m):
+        seen.append((y0, taken))
+        expected = _scan_by_definition(values[:taken], offsets[:taken], p, np.multiply, complex)
+        assert acc.tobytes() == expected.tobytes()
+    assert seen == [(0, spec.m), (0, spec.total_points)]
+    _assert_same_blocks(values, offsets, p, np.multiply, np.complex128, spec.m)
+
+
+def test_lambda_poly_and_ap_memory_is_one_block():
+    # the block of p^2 complex entries is the only full-size array; a whole-block gather per
+    # slot would double the peak
+    p = 809
+    ctx = make_field(p)
+    spec = parse_progression_spec("m=3;P=y^3,y^4")
+    fs = [unimodular(ctx, seed) for seed in range(spec.total_points)]
+    lambda_poly_and_ap(spec, fs)
+    tracemalloc.start()
+    try:
+        lambda_poly_and_ap(spec, fs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * p * p * 16
+
+
 # --- search ---------------------------------------------------------------
 
 
@@ -438,6 +584,16 @@ def _first_progression(members, spec, p):
             if all((x + o) % p in members for o in offs):
                 return x, y
     return None
+
+
+def test_find_progression_in_a_later_strip():
+    # at p = 809 a strip of the scan holds 20 values of y, so y = 100 is in the first block's
+    # sixth strip; the scan still returns the first hit in y, then x
+    p = 809
+    assert (1 << 21) // p > 100 >= 2 * (counting._STRIP // p)
+    members = [0, 100, 200, 500]
+    assert _first_progression(members, ProgressionSpec(3), p) == (0, 100)
+    assert find_progression(members, ProgressionSpec(3), p=p) == (0, 100)
 
 
 @pytest.mark.parametrize("text", ["m=3", "m=3;P=y^3,y^4"])
