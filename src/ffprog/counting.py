@@ -202,7 +202,7 @@ def _warn_on_degree_collapse(spec: ProgressionSpec, p: int) -> None:
             warnings.warn(
                 f"P_{spec.m + i} loses degree mod {p} (leading coefficient divisible by p); "
                 "the degree condition was checked over the rationals",
-                stacklevel=3,
+                stacklevel=4,  # past _product_means, to the caller of the public operator
             )
 
 
@@ -226,22 +226,19 @@ def _slot_reduce(arrays, offsets, p: int, ufunc, dtype, prefix=None):
     later slot's gather, a strip-sized temporary, folded in by ufunc in slot order. A block
     is yielded once all its slots are in (taken = len(arrays)) and, before that, after its
     first `prefix` slots, so a caller reads a prefix of the configuration from the same pass;
-    it must read a block before it asks for the next. With no slots acc is the ufunc's
-    identity, and the blocks still cover p values of y. The budget is charged
-    rows * p * slots before the first block.
+    it must read a block before it asks for the next. At least one slot is required; the
+    rows are the values of y in offsets[0]. The budget is charged rows * p * slots before
+    the first block.
     """
     windows = [_shift_rows(a) for a in arrays]  # row j of a shift view is x -> a(x + j)
     chunk = max(1, (1 << 21) // max(p, 1))  # an empty bitset (p = 0) scans no rows
     strip = max(1, _STRIP // max(p, 1))
-    rows = len(offsets[0]) if offsets else p
+    rows = len(offsets[0])
     n = len(windows)
     charge(rows * p * n, f"(x, y) scan(p={p}, slots={n})")
     stops = [prefix, n] if prefix is not None and 0 < prefix < n else [n]
     for y0 in range(0, rows, chunk):
         y1 = min(y0 + chunk, rows)
-        if not windows:
-            yield y0, 0, np.full((y1 - y0, p), ufunc.identity, dtype=dtype)
-            continue
         acc = np.empty((y1 - y0, p), dtype=dtype)
         start = 0
         for stop in stops:
@@ -256,40 +253,41 @@ def _slot_reduce(arrays, offsets, p: int, ufunc, dtype, prefix=None):
             start = stop
 
 
-def _product_mean(fs, offsets, p: int, y_weight=None) -> complex:
-    """E_{x,y} prod_j f_j(x + offsets[j](y)) [* y_weight(y)]."""
-    total = 0.0 + 0j
-    for y0, _, prod in _slot_reduce([f.values for f in fs], offsets, p, np.multiply, np.complex128):
+def _field_of(fs, n: int) -> FieldCtx:
+    """The one field of the n functions fs; refuses another count or a mix of fields."""
+    if len(fs) != n:
+        raise UsageError(f"expected {n} functions, got {len(fs)}")
+    return _require_same_ctx(fs)
+
+
+def _product_means(spec: ProgressionSpec, fs, prefix=None, y_weight=None) -> dict[int, complex]:
+    """{taken: E_{x,y} prod_{j<taken} f_j(x + o_j(y)) [* y_weight(y)]} from one scan of spec's
+    configuration, for taken = len(fs) and, if it is a proper prefix, taken = prefix. The
+    weight is multiplied into each block in place, so it holds only on scans without a prefix."""
+    p = fs[0].ctx.p
+    _warn_on_degree_collapse(spec, p)
+    totals = {}
+    values = [f.values for f in fs]
+    offsets = config_offsets(spec, p)
+    for y0, taken, prod in _slot_reduce(values, offsets, p, np.multiply, np.complex128, prefix):
         if y_weight is not None:
             prod *= y_weight[y0 : y0 + len(prod), None]
-        total += prod.sum()
-    return total / (p * p)
+        totals[taken] = totals.get(taken, 0.0 + 0j) + prod.sum()
+    return {taken: total / (p * p) for taken, total in totals.items()}
 
 
 def lambda_poly(spec: ProgressionSpec, fs) -> complex:
     """The counting operator for the full configuration, direct O(p^2 (m+k))."""
-    if len(fs) != spec.total_points:
-        raise UsageError(f"expected {spec.total_points} functions, got {len(fs)}")
-    ctx = _require_same_ctx(fs)
-    _warn_on_degree_collapse(spec, ctx.p)
-    return _product_mean(fs, config_offsets(spec, ctx.p), ctx.p)
+    _field_of(fs, spec.total_points)
+    return _product_means(spec, fs)[spec.total_points]
 
 
 def lambda_poly_and_ap(spec: ProgressionSpec, fs) -> tuple[complex, complex]:
     """(lambda_poly(spec, fs), lambda_ap(fs[:m])) from one scan: the AP count is the mean of
     the product over the configuration's first m slots, read before the k polynomial slots."""
-    if len(fs) != spec.total_points:
-        raise UsageError(f"expected {spec.total_points} functions, got {len(fs)}")
-    ctx = _require_same_ctx(fs)
-    p = ctx.p
-    _warn_on_degree_collapse(spec, p)
-    n = spec.total_points
-    totals = dict.fromkeys((spec.m, n), 0.0 + 0j)  # one key when k = 0
-    values = [f.values for f in fs]
-    offsets = config_offsets(spec, p)
-    for _, taken, prod in _slot_reduce(values, offsets, p, np.multiply, np.complex128, spec.m):
-        totals[taken] += prod.sum()
-    return totals[n] / (p * p), totals[spec.m] / (p * p)
+    _field_of(fs, spec.total_points)
+    means = _product_means(spec, fs, prefix=spec.m)
+    return means[spec.total_points], means[spec.m]
 
 
 def lambda_ap(fs) -> complex:
@@ -303,22 +301,21 @@ def lambda_ap_weighted(fs, y_weight) -> complex:
     """lambda_ap with the y-average weighted by y_weight (e.g. a residue-set indicator)."""
     if not fs:
         raise UsageError("need at least one function")
-    ctx = _require_same_ctx(fs)
-    spec = ProgressionSpec(m=len(fs))
+    ctx = _field_of(fs, len(fs))
     weight = np.asarray(y_weight, dtype=np.complex128)
     if weight.shape != (ctx.p,):
         raise UsageError(f"y_weight has shape {weight.shape}, expected ({ctx.p},)")
-    return _product_mean(fs, config_offsets(spec, ctx.p), ctx.p, y_weight=weight)
+    return _product_means(ProgressionSpec(m=len(fs)), fs, y_weight=weight)[len(fs)]
 
 
 def dual_function(spec: ProgressionSpec, fs, omit: int) -> FpFunction:
     """F(x) = E_y prod_{j != omit} f_j(x + P_j(y) - P_omit(y)); <F, conj(f_omit)> = Lambda."""
     if not 0 <= omit < spec.total_points:
         raise UsageError(f"omit={omit} outside [0, {spec.total_points})")
-    if len(fs) != spec.total_points:
-        raise UsageError(f"expected {spec.total_points} functions, got {len(fs)}")
-    ctx = _require_same_ctx(fs)
+    ctx = _field_of(fs, spec.total_points)
     p = ctx.p
+    if spec.total_points == 1:  # no other slot: F is the empty product, 1
+        return FpFunction(ctx, np.ones(p, dtype=np.complex128), bounded=True)
     offsets = config_offsets(spec, p)
     others = [f for j, f in enumerate(fs) if j != omit]
     shifts = [(off - offsets[omit]) % p for j, off in enumerate(offsets) if j != omit]
@@ -373,10 +370,7 @@ def lambda_linear(sys_spec: LinearSystemSpec, fs, restricted: bool) -> complex:
     """E_{x_1..x_d} prod_i f_i(L_i(...)); restricted substitutes x_j^{k_j} for x_j."""
     if sys_spec.d > 3:
         raise UsageError("d <= 3 enforced (cost p^d)")
-    if len(fs) != sys_spec.num_forms:
-        raise UsageError(f"expected {sys_spec.num_forms} functions, got {len(fs)}")
-    ctx = _require_same_ctx(fs)
-    p = ctx.p
+    p = _field_of(fs, sys_spec.num_forms).p
     charge(p**sys_spec.d * sys_spec.num_forms, f"lambda_linear(p={p}, d={sys_spec.d})")
     axes = []
     for j, k in enumerate(sys_spec.powers):

@@ -41,21 +41,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n, by trial division."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def divisors(n: int) -> list[int]:
     """Divisors of n >= 1 in ascending order, by trial division up to sqrt(n)."""
     small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
@@ -66,7 +51,7 @@ def smallest_primitive_root(p: int) -> int:
     """Smallest g generating F_p^x, found by checking g^((p-1)/q) != 1 for prime q | p-1."""
     if p == 2:
         return 1
-    checks = [(p - 1) // q for q in prime_factors(p - 1)]
+    checks = [(p - 1) // q for q in divisors(p - 1) if is_prime(q)]
     for g in range(2, p):
         if all(pow(g, e, p) != 1 for e in checks):
             return g

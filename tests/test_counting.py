@@ -204,10 +204,11 @@ def test_lambda_poly_and_ap_checks_its_inputs():
         lambda_poly_and_ap(spec, [constant(ctx)] * 3)
     with pytest.raises(UsageError, match="different fields"):
         lambda_poly_and_ap(spec, [constant(ctx)] * 3 + [constant(make_field(13))])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        lambda_poly_and_ap(parse_progression_spec("m=3;P=11y^4+y^3"), [constant(ctx)] * 4)
-    assert [w.filename for w in caught] == [__file__]  # points at the caller
+    for count in (lambda_poly_and_ap, lambda_poly):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            count(parse_progression_spec("m=3;P=11y^4+y^3"), [constant(ctx)] * 4)
+        assert [w.filename for w in caught] == [__file__], count  # points at the caller
 
 
 def test_lambda_multilinearity():
@@ -273,8 +274,11 @@ def test_dual_function_trivial_cases():
     ones = [constant(ctx)] * 4
     F = dual_function(spec, ones, 2)
     assert np.abs(F.values - 1).max() < 1e-12
-    degenerate = dual_function(ProgressionSpec(1), [constant(ctx)], 0)
-    assert np.abs(degenerate.values - 1).max() < 1e-12
+    # a 1-point spec leaves no slot once its only one is omitted: F is the empty product, 1
+    for p in (2, 3, MULTI_CHUNK_P):
+        F = dual_function(ProgressionSpec(1), [unimodular(make_field(p), p)], 0)
+        assert F.values.shape == (p,) and (F.values == 1).all(), p
+        assert F.bounded is True
 
 
 # --- linear systems -------------------------------------------------------
@@ -414,13 +418,9 @@ def _straight_slot_reduce(arrays, offsets, p, ufunc, dtype, prefix=None):
     """The scan without strips, kept as the reference: each slot gathered over a whole block."""
     windows = [_shift_rows(a) for a in arrays]
     chunk = max(1, (1 << 21) // max(p, 1))
-    rows = len(offsets[0]) if offsets else p
-    for y0 in range(0, rows, chunk):
+    for y0 in range(0, len(offsets[0]), chunk):
         ys = slice(y0, y0 + chunk)
-        if windows:
-            acc = windows[0][offsets[0][ys]].astype(dtype, copy=False)
-        else:
-            acc = np.full((min(chunk, rows - y0), p), ufunc.identity, dtype=dtype)
+        acc = windows[0][offsets[0][ys]].astype(dtype, copy=False)
         for taken in range(1, len(windows)):
             if taken == prefix:
                 yield y0, taken, acc
@@ -466,20 +466,6 @@ def test_slot_reduce_matches_straight_scan(p):
     _assert_same_blocks([bits] * n, nonzero_y, p, np.logical_and, bool)
     masks = [rng.integers(0, 1 << 62, p, dtype=np.int64) for _ in range(n)]
     _assert_same_blocks(masks, nonzero_y, p, np.bitwise_or, np.int64)
-
-
-@pytest.mark.parametrize("p", [2, 3, MULTI_CHUNK_P])
-@pytest.mark.parametrize(
-    "ufunc, dtype",
-    [(np.multiply, np.complex128), (np.logical_and, bool), (np.bitwise_or, np.int64)],
-)
-def test_slot_reduce_without_slots_yields_identity_over_p_rows(p, ufunc, dtype):
-    blocks = [(y0, taken, acc.copy()) for y0, taken, acc in _slot_reduce([], [], p, ufunc, dtype)]
-    assert [taken for _, taken, _ in blocks] == [0] * len(blocks)
-    assert [y0 for y0, _, _ in blocks] == list(range(0, p, (1 << 21) // p))
-    whole = np.concatenate([acc for _, _, acc in blocks])
-    assert whole.shape == (p, p) and whole.dtype == dtype
-    assert (whole == ufunc.identity).all()
 
 
 @pytest.mark.parametrize("p", [2, 3, 7])

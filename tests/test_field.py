@@ -52,6 +52,18 @@ def test_primitive_root_has_full_order():
         assert len(seen) == p - 1
 
 
+def test_make_field_picks_the_smallest_primitive_root():
+    # g fixes FieldCtx.powers and so every character table; full order alone does not pin it
+    def order(g, p):
+        x, e = g % p, 1
+        while x != 1:
+            x, e = x * g % p, e + 1
+        return e
+
+    for p in (q for q in range(2, 2000) if is_prime(q)):
+        assert make_field(p).g == next(g for g in range(1, p) if order(g, p) == p - 1), p
+
+
 def test_twiddle_table_accuracy():
     ctx = make_field(97)
     expected = np.exp(2j * np.pi * np.arange(97) / 97)
