@@ -19,8 +19,8 @@ print(f"working in F_{p}, primitive root g={ctx.g}")
 rng = np.random.default_rng(0)
 f = fp.FpFunction(ctx, np.exp(2j * np.pi * rng.random(p)), bounded=True)
 
-naive = fp.fourier(f, "naive").coeffs
-fast = fp.fourier(f, "fast").coeffs
+naive = fp.fourier(f, "naive")
+fast = fp.fourier(f, "fast")
 print(f"naive vs chirp transform, sup difference: {np.abs(naive - fast).max():.2e}")
 
 L2, l2 = fp.norms(f, 2)
@@ -43,7 +43,7 @@ print(f"  direct:  U^1={u1:.6f}  U^2={u2:.6f}  U^3={u3:.6f}  (monotone increasin
 print(f"  fast:    U^2={fp.gowers_fast(h, 2):.6f}  U^3={fp.gowers_fast(h, 3):.6f}")
 
 # U^2 is exactly the l^4 norm of the spectrum
-l4 = float((np.abs(fp.fourier(h, 'fast').coeffs) ** 4).sum() ** 0.25)
+l4 = float((np.abs(fp.fourier(h, 'fast')) ** 4).sum() ** 0.25)
 print(f"  U^2 - l4(spectrum) = {u2 - l4:.2e}")
 
 # the recursion that powers the fast path: U^s in terms of derivatives

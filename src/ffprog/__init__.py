@@ -57,7 +57,6 @@ from .field import (
 )
 from .harmonic import (
     FpFunction,
-    Spectrum,
     additive_char,
     constant,
     fourier,

@@ -11,8 +11,8 @@ import os
 import sys
 from pathlib import Path
 
-from . import counting, experiments
-from .counting import exact_max_free_set, lambda_poly
+from . import experiments
+from .counting import exact_max_free_set, lambda_poly, parse_progression_spec
 from .errors import BoundViolation, FFProgError, IoFailure, MalformedFixture, UsageError
 from .experiments import SweepReport, TrialFunctionFamily, greedy_free_set
 from .field import make_field
@@ -52,10 +52,6 @@ _seed = _int_at_least(0, "non-negative")
 
 def _order(text: str) -> int | str:
     return text if text == "all" else _positive_int(text)
-
-
-parse_spec = counting.parse_progression_spec
-render_spec = counting.render_progression_spec
 
 
 def build_parser() -> _Parser:
@@ -165,14 +161,14 @@ def _cmd_gowers(args: argparse.Namespace) -> str:
 
 
 def _cmd_lambda(args: argparse.Namespace) -> str:
-    spec = parse_spec(args.spec)
+    spec = parse_progression_spec(args.spec)
     fs = [_load_fixture(path) for path in args.fixtures]
     value = lambda_poly(spec, fs)
     return f"lambda = {value.real:.12g}{value.imag:+.12g}i  |lambda| = {abs(value):.12g}\n"
 
 
 def _cmd_discorrelate(args: argparse.Namespace) -> SweepReport:
-    spec = parse_spec(args.spec)
+    spec = parse_progression_spec(args.spec)
     kind = args.family.replace("-", "_")
     family = TrialFunctionFamily(kind=kind, seed=args.seed, density=args.density, a=args.a)
     return experiments.discorrelation_sweep(args.primes, spec, family, args.trials)
@@ -206,7 +202,7 @@ def _cmd_restricted_ap(args: argparse.Namespace) -> SweepReport:
 
 
 def _cmd_search(args: argparse.Namespace) -> str:
-    spec = parse_spec(args.spec)
+    spec = parse_progression_spec(args.spec)
     ctx = make_field(args.p)
     if args.mode == "exact":
         size, elements = exact_max_free_set(ctx, spec)

@@ -75,12 +75,6 @@ class IntPolynomial:
             acc = (acc * ys + c % p) % p
         return acc
 
-    def leading_coefficient(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
-
-    def __str__(self):
-        return render_poly(self)
-
 
 def monomial(degree: int, coefficient: int = 1) -> IntPolynomial:
     return IntPolynomial((0,) * degree + (coefficient,))
@@ -99,16 +93,8 @@ class ProgressionSpec:
         object.__setattr__(self, "polys", tuple(self.polys))
 
     @property
-    def k(self) -> int:
-        return len(self.polys)
-
-    @property
     def total_points(self) -> int:
-        return self.m + self.k
-
-    @property
-    def validated(self) -> bool:
-        return validate_spec(self).valid
+        return self.m + len(self.polys)
 
 
 @dataclass(frozen=True)
@@ -198,7 +184,7 @@ def config_offsets(spec: ProgressionSpec, p: int) -> list[np.ndarray]:
 
 def _warn_on_degree_collapse(spec: ProgressionSpec, p: int) -> None:
     for i, P in enumerate(spec.polys):
-        if P.coeffs and P.leading_coefficient() % p == 0:
+        if P.coeffs and P.coeffs[-1] % p == 0:
             warnings.warn(
                 f"P_{spec.m + i} loses degree mod {p} (leading coefficient divisible by p); "
                 "the degree condition was checked over the rationals",
@@ -226,13 +212,13 @@ def _slot_reduce(arrays, offsets, p: int, ufunc, dtype, prefix=None):
     later slot's gather, a strip-sized temporary, folded in by ufunc in slot order. A block
     is yielded once all its slots are in (taken = len(arrays)) and, before that, after its
     first `prefix` slots, so a caller reads a prefix of the configuration from the same pass;
-    it must read a block before it asks for the next. At least one slot is required; the
-    rows are the values of y in offsets[0]. The budget is charged rows * p * slots before
-    the first block.
+    it must read a block before it asks for the next. At least one slot and p >= 1 are
+    required; the rows are the values of y in offsets[0]. The budget is charged
+    rows * p * slots before the first block.
     """
     windows = [_shift_rows(a) for a in arrays]  # row j of a shift view is x -> a(x + j)
-    chunk = max(1, (1 << 21) // max(p, 1))  # an empty bitset (p = 0) scans no rows
-    strip = max(1, _STRIP // max(p, 1))
+    chunk = max(1, (1 << 21) // p)
+    strip = max(1, _STRIP // p)
     rows = len(offsets[0])
     n = len(windows)
     charge(rows * p * n, f"(x, y) scan(p={p}, slots={n})")
@@ -343,6 +329,8 @@ class LinearSystemSpec:
         object.__setattr__(self, "powers", powers)
         if len(powers) != self.d:
             raise UsageError("need one power per variable")
+        if not forms:
+            raise UsageError("need at least one linear form")
         if any(k < 1 for k in powers):
             raise UsageError("powers must be >= 1")
         for row in forms:
@@ -361,17 +349,13 @@ class LinearSystemSpec:
                             f"form {row} is a multiple of x_{j + 1}, which has power {k} > 1"
                         )
 
-    @property
-    def num_forms(self) -> int:
-        return len(self.forms)
-
 
 def lambda_linear(sys_spec: LinearSystemSpec, fs, restricted: bool) -> complex:
     """E_{x_1..x_d} prod_i f_i(L_i(...)); restricted substitutes x_j^{k_j} for x_j."""
     if sys_spec.d > 3:
         raise UsageError("d <= 3 enforced (cost p^d)")
-    p = _field_of(fs, sys_spec.num_forms).p
-    charge(p**sys_spec.d * sys_spec.num_forms, f"lambda_linear(p={p}, d={sys_spec.d})")
+    p = _field_of(fs, len(sys_spec.forms)).p
+    charge(p**sys_spec.d * len(sys_spec.forms), f"lambda_linear(p={p}, d={sys_spec.d})")
     axes = []
     for j, k in enumerate(sys_spec.powers):
         t = pow_mod(np.arange(p), k if restricted else 1, p)
@@ -388,31 +372,28 @@ def lambda_linear(sys_spec: LinearSystemSpec, fs, restricted: bool) -> complex:
     return complex(prod.mean())
 
 
-def as_bitset(A, p: int) -> np.ndarray:
-    """Normalize a subset of F_p (bool array or iterable of ints) to a length-p bitset."""
-    arr = np.asarray(A)
-    if arr.dtype == bool:
-        if arr.shape != (p,):
-            raise UsageError(f"bitset must have length {p}")
-        return arr
-    out = np.zeros(p, dtype=bool)
-    for x in np.atleast_1d(arr):
-        out[int(x) % p] = True
-    return out
-
-
 def find_progression(A, spec: ProgressionSpec, p: int | None = None):
     """First (x, y) with y != 0 whose configuration lies in A, or None.
 
-    A is a length-p boolean bitset (p inferred) or an iterable of residues
-    (p required). Exhaustive O(p^2) scan with early exit, y then x ascending.
+    A is a length-p boolean bitset (p inferred) or an iterable of residues, read mod p
+    (p required). Exhaustive O(p^2) scan with early exit, y then x ascending. The empty
+    field (p = 0) holds no configuration.
     """
-    if p is None:
-        arr = np.asarray(A)
-        if arr.dtype != bool:
-            raise UsageError("pass p explicitly when A is not a boolean bitset")
-        p = len(arr)
-    bits = as_bitset(A, p)
+    bits = np.asarray(A)
+    if p is not None and p < 0:
+        raise UsageError(f"p must be >= 0, got {p}")
+    if bits.dtype == bool:
+        p = len(bits) if p is None else p
+        if bits.shape != (p,):
+            raise UsageError(f"bitset must have length {p}")
+    elif p is None:
+        raise UsageError("pass p explicitly when A is not a boolean bitset")
+    elif p:  # the empty field has no residue to mark
+        residues, bits = np.atleast_1d(bits), np.zeros(p, dtype=bool)
+        for x in residues:
+            bits[int(x) % p] = True
+    if p == 0:
+        return None
     offsets = [off[1:] for off in config_offsets(spec, p)]  # y = 1 .. p-1
     for y0, _, hit in _slot_reduce([bits] * len(offsets), offsets, p, np.logical_and, bool):
         first = int(hit.argmax())  # row-major: the smallest y, then the smallest x

@@ -127,6 +127,8 @@ class TrialFunctionFamily:
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise UsageError(f"unknown family kind {self.kind!r}")
+        if not 0.0 <= self.density <= 1.0:  # NaN included
+            raise UsageError(f"density must be in [0, 1], got {self.density}")
 
     def _rng(self, p: int, trial: int, slot: int) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(p, trial, slot))
@@ -163,7 +165,7 @@ class TrialFunctionFamily:
 # Discorrelation (main counting theorem)
 
 
-def discorrelation_error(ctx: FieldCtx, spec: ProgressionSpec, fs) -> float:
+def discorrelation_error(spec: ProgressionSpec, fs) -> float:
     """| Lambda_{m,P...}(f_0..f_{m+k-1}) - Lambda_m(f_0..f_{m-1}) * prod_{j>=m} E f_j |."""
     require_valid(spec)
     lhs, rhs = lambda_poly_and_ap(spec, fs)
@@ -210,7 +212,7 @@ def discorrelation_sweep(
 
     def errors(ctx):
         for t in range(trials):
-            yield discorrelation_error(ctx, spec, [family.generate(ctx, t, j) for j in range(n)])
+            yield discorrelation_error(spec, [family.generate(ctx, t, j) for j in range(n)])
 
     label = f"{counting.render_progression_spec(spec)} | {family.label()}"
     return _error_sweep(label, ladder, trials, family.seed, errors)

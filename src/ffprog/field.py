@@ -84,10 +84,6 @@ class FieldCtx:
         t.flags.writeable = False
         return t
 
-    def e(self, j: int) -> complex:
-        """Additive character e_p(j)."""
-        return complex(self.twiddle[j % self.p])
-
     def __repr__(self):
         return f"FieldCtx(p={self.p}, g={self.g})"
 

@@ -106,14 +106,6 @@ def _require_same_ctx(fs) -> FieldCtx:
     return ctx
 
 
-@dataclass(eq=False)
-class Spectrum:
-    """Fourier coefficients: coeffs[alpha] = E_x f(x) e_p(alpha x)."""
-
-    ctx: FieldCtx
-    coeffs: np.ndarray
-
-
 @lru_cache(maxsize=64)
 def _bluestein_plan(p: int):
     # Chirp transform: nk = (n^2 + k^2 - (k-n)^2)/2, so the DFT with kernel
@@ -155,15 +147,16 @@ def _dft_sum_naive(values: np.ndarray, twiddle: np.ndarray) -> np.ndarray:
     return out
 
 
-def fourier(f: FpFunction, strategy: str = "fast") -> Spectrum:
-    """Fourier transform of f; `strategy` is "naive" (direct O(p^2)) or "fast" (chirp)."""
+def fourier(f: FpFunction, strategy: str = "fast") -> np.ndarray:
+    """The coefficients coeffs[alpha] = E_x f(x) e_p(alpha x) of f; `strategy` is "naive"
+    (direct O(p^2)) or "fast" (chirp)."""
     if strategy == "naive":
         sums = _dft_sum_naive(f.values, f.ctx.twiddle)
     elif strategy == "fast":
         sums = _dft_sum_fast(f.values)
     else:
         raise UsageError(f"unknown strategy {strategy!r}")
-    return Spectrum(f.ctx, sums / f.p)
+    return sums / f.p
 
 
 def norms(f: FpFunction, s: float) -> tuple[float, float]:
@@ -276,6 +269,6 @@ def gowers_fast(f: FpFunction, s: int) -> float:
 
 def max_fourier_coeff(f: FpFunction) -> tuple[int, float]:
     """(argmax_alpha |f^(alpha)|, the maximum magnitude); ties go to the smallest alpha."""
-    mags = np.abs(fourier(f, "fast").coeffs)
+    mags = np.abs(fourier(f, "fast"))
     alpha = int(np.argmax(mags))
     return alpha, float(mags[alpha])

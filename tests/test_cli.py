@@ -20,8 +20,13 @@ from ffprog import (
     set_budget,
 )
 from ffprog import experiments, harmonic
-from ffprog.cli import DEFAULT_SEED, build_parser, main, parse_spec, render_spec
-from ffprog.counting import MAX_EXPONENT, parse_progression_spec, render_progression_spec
+from ffprog.cli import DEFAULT_SEED, build_parser, main
+from ffprog.counting import (
+    MAX_EXPONENT,
+    parse_progression_spec,
+    render_progression_spec,
+    validate_spec,
+)
 from ffprog.experiments import SweepReport, SweepRow
 
 
@@ -29,31 +34,31 @@ from ffprog.experiments import SweepReport, SweepRow
 
 
 def test_parse_spec_examples():
-    spec = parse_spec("m=3;P=y^3,y^4")
+    spec = parse_progression_spec("m=3;P=y^3,y^4")
     assert spec.m == 3
     assert [P.coeffs for P in spec.polys] == [(0, 0, 0, 1), (0, 0, 0, 0, 1)]
-    assert spec.validated
+    assert validate_spec(spec).valid
 
-    spec = parse_spec("m=3;P=y^2")
-    assert not spec.validated  # parses fine, validation records the violation
+    spec = parse_progression_spec("m=3;P=y^2")
+    assert not validate_spec(spec).valid  # parses fine, validation records the violation
 
-    spec = parse_spec("m=4")
+    spec = parse_progression_spec("m=4")
     assert spec.m == 4 and spec.polys == ()
 
-    spec = parse_spec("m=3;P=2y^4+y^3")
+    spec = parse_progression_spec("m=3;P=2y^4+y^3")
     assert spec.polys[0].coeffs == (0, 0, 0, 1, 2)
 
 
 def test_parse_spec_errors():
     with pytest.raises(ParseError) as info:
-        parse_spec("m=;P=y")
+        parse_progression_spec("m=;P=y")
     assert info.value.position == 2
     for bad in (
         "", "m=0", "n=3", "m=3;P=", "m=3;P=y^", "m=3;P=y,,y", "m=3;Q=y", "m=3 ;P=y",
         "m=3;P=y^99999999999999999999",
     ):
         with pytest.raises(ParseError):
-            parse_spec(bad)
+            parse_progression_spec(bad)
     # an exponent past MAX_EXPONENT is refused at its offset, before any coefficient tuple
     with pytest.raises(ParseError, match=f"exponent exceeds {MAX_EXPONENT}") as info:
         parse_progression_spec("m=3;P=y^2+y^99999999999999999999")
@@ -69,11 +74,11 @@ def test_parse_spec_errors():
 def test_parse_spec_rejects_integers_int_cannot_read(bad):
     # superscript digits pass str.isdigit but not int(); 5000 digits pass Python's int limit
     with pytest.raises(ParseError, match="expected integer"):
-        parse_spec(bad)
+        parse_progression_spec(bad)
 
 
 def test_parse_terms():
-    spec = parse_spec("m=2;P=-y^3+5,0,y+y")
+    spec = parse_progression_spec("m=2;P=-y^3+5,0,y+y")
     assert spec.polys[0].coeffs == (5, 0, 0, -1)
     assert spec.polys[1].coeffs == ()
     assert spec.polys[2].coeffs == (0, 2)
@@ -97,7 +102,7 @@ def test_render_parse_round_trip(spec):
 
 
 def test_render_spec_exported():
-    assert render_spec(ProgressionSpec(3, (IntPolynomial((0, 0, 0, 1)),))) == "m=3;P=y^3"
+    assert render_progression_spec(ProgressionSpec(3, (IntPolynomial((0, 0, 0, 1)),))) == "m=3;P=y^3"
 
 
 # --- subcommands -----------------------------------------------------------
@@ -389,6 +394,22 @@ def test_chardecay_order_is_integer_or_all(capsys):
         err = captured.err.splitlines()
         assert captured.out == ""
         assert len(err) == 1 and err[0].startswith("error: UsageError: argument --k: ")
+
+
+@pytest.mark.parametrize(
+    "cmd",
+    [
+        ["discorrelate", "--spec", "m=3", "--primes", "11", "--trials", "1"],
+        ["restricted-ap", "--primes", "11,13,17", "--k", "2", "--trials", "1"],
+    ],
+)
+@pytest.mark.parametrize("density", ["nan", "inf", "-1", "2"])
+def test_density_outside_unit_interval_is_refused(cmd, density, capsys):
+    # nan used to give all-zero rows and -3 the label random_indicator(-3.0), both exit 0
+    assert main(cmd + ["--density", density]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: UsageError: density must be in [0, 1], got {float(density)}\n"
 
 
 @pytest.mark.parametrize("strategy", ["direct", "fast"])

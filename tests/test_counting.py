@@ -152,7 +152,7 @@ def test_lambda_poly_weyl_sum():
         ctx = make_field(p)
         f1 = FpFunction(ctx, ctx.twiddle[(3 * (np.arange(p) ** 2 % p)) % p], bounded=True)
         val = lambda_poly(ProgressionSpec(1, (monomial(2),)), [constant(ctx), f1])
-        brute = np.mean([ctx.e(3 * y * y) for y in range(p)])
+        brute = np.mean([ctx.twiddle[3 * y * y % ctx.p] for y in range(p)])
         assert abs(val - brute) < 1e-12
         assert abs(val) <= 1.5 * p**-0.5
 
@@ -292,6 +292,12 @@ def test_linear_system_validation():
     LinearSystemSpec(d=2, forms=((0, 3), (1, 1)), powers=(1, 1))  # fine when k_2=1
 
 
+def test_linear_system_needs_a_form():
+    # with no forms lambda_linear used to fail with an IndexError on its empty function list
+    with pytest.raises(UsageError, match="need at least one linear form"):
+        LinearSystemSpec(d=1, forms=(), powers=(1,))
+
+
 def test_lambda_linear_modes():
     ctx = make_field(13)
     sysspec = LinearSystemSpec(d=2, forms=((1, 0), (1, 1), (1, 2)), powers=(1, 2))
@@ -364,7 +370,7 @@ def test_lambda_ap_matches_roth_identity(p):
         [unimodular(ctx, p + i) for i in range(3)],
         [indicator(ctx, np.flatnonzero(rng.random(p) < 0.5)) for _ in range(3)],
     ):
-        g0, g1, g2 = (fourier(f).coeffs for f in fs)
+        g0, g1, g2 = (fourier(f) for f in fs)
         roth = (g0[neg_xi] * g1[-2 * neg_xi % p] * g2[neg_xi]).sum()
         assert abs(lambda_ap(fs) - roth) < 1e-12
 
@@ -543,6 +549,22 @@ def test_find_progression_examples():
     assert find_progression(A, spec3) == (1, 2)
     # witness from a set of residues
     assert find_progression([0, 1, 3], spec3, p=5) == (1, 2)
+
+
+def test_find_progression_input_handling():
+    spec3, square = ProgressionSpec(3), parse_progression_spec("m=3;P=y^2")
+    with pytest.raises(UsageError, match="bitset must have length 7"):
+        find_progression(np.ones(5, dtype=bool), spec3, p=7)
+    with pytest.raises(UsageError, match="pass p explicitly"):
+        find_progression([0, 1, 3], spec3)
+    with pytest.raises(UsageError, match="p must be >= 0, got -5"):
+        find_progression([0, 1, 3], spec3, p=-5)
+    # residues are read mod p: -4 = 1 and 8 = 3 mod 5
+    assert find_progression([0, -4, 8], spec3, p=5) == find_progression([0, 1, 3], spec3, p=5)
+    # the empty field has no configuration, for a polynomial spec too (it used to divide by 0)
+    for spec in (spec3, square):
+        assert find_progression(np.zeros(0, dtype=bool), spec) is None
+        assert find_progression([], spec, p=0) is None
 
 
 def test_find_progression_requires_nonzero_y():

@@ -56,9 +56,9 @@ def test_family_rejects_unknown_kind():
 
 def test_discorrelation_error_examples():
     ctx = make_field(11)
-    assert discorrelation_error(ctx, SPEC34, [constant(ctx)] * 5) == 0.0
+    assert discorrelation_error(SPEC34, [constant(ctx)] * 5) == 0.0
     with pytest.raises(InvalidSpec):
-        discorrelation_error(ctx, ProgressionSpec(3, (monomial(2),)), [constant(ctx)] * 4)
+        discorrelation_error(ProgressionSpec(3, (monomial(2),)), [constant(ctx)] * 4)
 
 
 def test_discorrelation_error_warns_once_on_degree_collapse():
@@ -67,7 +67,7 @@ def test_discorrelation_error_warns_once_on_degree_collapse():
     spec = parse_progression_spec("m=3;P=101y^4+y^3")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        discorrelation_error(ctx, spec, [constant(ctx)] * 4)
+        discorrelation_error(spec, [constant(ctx)] * 4)
     assert len(caught) == 1 and "loses degree mod 101" in str(caught[0].message)
     assert caught[0].filename == experiments.__file__
 
@@ -79,9 +79,9 @@ def test_discorrelation_error_charges_one_scan():
     set_budget(101 * 101 * 5 - 1)
     try:
         with pytest.raises(BudgetExceeded, match=r"\(x, y\) scan\(p=101, slots=5\)"):
-            discorrelation_error(ctx, SPEC34, fs)
+            discorrelation_error(SPEC34, fs)
         set_budget(101 * 101 * 5)
-        assert discorrelation_error(ctx, SPEC34, fs) == 0.0
+        assert discorrelation_error(SPEC34, fs) == 0.0
     finally:
         set_budget(None)
 
@@ -111,7 +111,7 @@ def test_discorrelation_sweep_rows_and_determinism():
 
 def test_sweep_single_prime_constant_functions():
     # density-1 indicators are identically 1, so the error row is exactly 0
-    fam = TrialFunctionFamily(kind="random_indicator", seed=0, density=1.1)
+    fam = TrialFunctionFamily(kind="random_indicator", seed=0, density=1.0)
     rep = discorrelation_sweep([11], SPEC34, fam, trials=1)
     assert [r.value for r in rep.rows] == [0.0, 0.0]
     assert rep.fit is None

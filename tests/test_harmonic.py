@@ -33,21 +33,21 @@ def random_unimodular(ctx, seed):
 
 def test_fourier_of_constant():
     ctx = make_field(7)
-    coeffs = fourier(constant(ctx), "naive").coeffs
+    coeffs = fourier(constant(ctx), "naive")
     assert abs(coeffs[0] - 1) < 1e-12
     assert np.abs(coeffs[1:]).max() < 1e-12
 
 
 def test_fourier_of_point_mass():
     ctx = make_field(5)
-    coeffs = fourier(indicator(ctx, [0]), "fast").coeffs
+    coeffs = fourier(indicator(ctx, [0]), "fast")
     assert np.abs(coeffs - 0.2).max() < 1e-12
 
 
 def test_fourier_of_character_is_delta():
     ctx = make_field(11)
     beta = 4
-    coeffs = fourier(additive_char(ctx, beta), "fast").coeffs
+    coeffs = fourier(additive_char(ctx, beta), "fast")
     expected = np.zeros(11)
     expected[(11 - beta) % 11] = 1.0
     assert np.abs(coeffs - expected).max() < 1e-9
@@ -57,15 +57,15 @@ def test_fourier_of_character_is_delta():
 def test_naive_fast_agreement(p):
     ctx = make_field(p)
     f = random_unimodular(ctx, p)
-    naive = fourier(f, "naive").coeffs
-    fast = fourier(f, "fast").coeffs
+    naive = fourier(f, "naive")
+    fast = fourier(f, "fast")
     assert np.abs(naive - fast).max() < 1e-9
 
 
 def test_parseval():
     ctx = make_field(97)
     f = random_unimodular(ctx, 3)
-    coeffs = fourier(f, "fast").coeffs
+    coeffs = fourier(f, "fast")
     lhs = (np.abs(coeffs) ** 2).sum()
     rhs = (np.abs(f.values) ** 2).mean()
     assert abs(lhs - rhs) < 1e-9
@@ -91,7 +91,7 @@ def test_mult_derivative():
     assert np.abs(d0.values - np.abs(f.values) ** 2).max() < 1e-12
     phase = additive_char(ctx, 3)
     d = mult_derivative(phase, 5)
-    assert np.abs(d.values - ctx.e(15)).max() < 1e-12  # constant e_p(a h)
+    assert np.abs(d.values - ctx.twiddle[15 % ctx.p]).max() < 1e-12  # constant e_p(a h)
     ones = constant(ctx)
     assert np.abs(mult_derivative(ones, 3).values - 1).max() < 1e-12
 
@@ -109,7 +109,7 @@ def test_u1_equals_mean_equals_coeff_zero():
     f = random_unimodular(ctx, 7)
     u1 = gowers_direct(f, 1)
     assert abs(u1 - abs(f.mean())) < 1e-9
-    assert abs(u1 - abs(fourier(f, "fast").coeffs[0])) < 1e-9
+    assert abs(u1 - abs(fourier(f, "fast")[0])) < 1e-9
 
 
 def test_gowers_budget():
@@ -130,7 +130,7 @@ def test_u2_fourier_identity():
         for seed in range(10):
             f = random_unimodular(ctx, seed)
             u2 = gowers_direct(f, 2)
-            l4 = float((np.abs(fourier(f, "fast").coeffs) ** 4).sum() ** 0.25)
+            l4 = float((np.abs(fourier(f, "fast")) ** 4).sum() ** 0.25)
             assert abs(u2 - l4) < 1e-9
 
 
@@ -139,7 +139,7 @@ def test_quadratic_phase_u2():
         ctx = make_field(p)
         xs = np.arange(p, dtype=np.int64)
         f = FpFunction(ctx, ctx.twiddle[xs * xs % p], bounded=True)
-        coeffs = fourier(f, "fast").coeffs
+        coeffs = fourier(f, "fast")
         # Gauss-sum modulus: every coefficient has |.|^2 = 1/p
         assert np.abs(np.abs(coeffs) ** 2 * p - 1).max() < 1e-9
         assert abs(gowers_fast(f, 2) - p**-0.25) < 1e-9
@@ -256,7 +256,7 @@ def test_u2_inverse_sandwich():
         ctx = make_field(p)
         for seed in range(10):
             f = random_unimodular(ctx, 31 * p + seed)
-            coeffs = fourier(f, "fast").coeffs
+            coeffs = fourier(f, "fast")
             big = float(np.abs(coeffs).max())
             l4 = float((np.abs(coeffs) ** 4).sum() ** 0.25)
             assert big <= l4 + 1e-9
@@ -274,7 +274,7 @@ def test_max_fourier_coeff():
     subset = [x for x in range(31) if rng.random() < 0.8]
     f = indicator(ctx, subset)
     alpha, mag = max_fourier_coeff(f)
-    brute = np.abs(fourier(f, "naive").coeffs)
+    brute = np.abs(fourier(f, "naive"))
     assert alpha == int(np.argmax(brute))
     assert alpha == 0 and abs(mag - len(subset) / 31) < 1e-9
 
