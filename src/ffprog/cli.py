@@ -9,6 +9,7 @@ import contextlib
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from . import experiments
@@ -217,22 +218,28 @@ def _cmd_search(args: argparse.Namespace) -> str:
     return f"p={ctx.p} mode={args.mode} size={size} density={density:.6f}\nset: {listing}\n"
 
 
+def _print_warning(message, *_location) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
+    with warnings.catch_warnings():  # one stderr line per warning, without a source location
+        warnings.showwarning = _print_warning
         try:
-            output = args.run(args)
-        except BoundViolation as exc:  # the output built before the failed check still goes out
-            if exc.report is not None:
-                _write(exc.report, args)
-            raise
-        _write(output, args)
-        return 0
-    except SystemExit as exc:  # argparse --help
-        return int(exc.code or 0)
-    except FFProgError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, BoundViolation) else 1
+            args = build_parser().parse_args(argv)
+            try:
+                output = args.run(args)
+            except BoundViolation as exc:  # the output built before the failed check still goes out
+                if exc.report is not None:
+                    _write(exc.report, args)
+                raise
+            _write(output, args)
+            return 0
+        except SystemExit as exc:  # argparse --help
+            return int(exc.code or 0)
+        except FFProgError as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2 if isinstance(exc, BoundViolation) else 1
 
 
 def entry() -> None:

@@ -31,14 +31,14 @@ import numpy as np
 from .budget import charge
 from .errors import BudgetExceeded, InvalidSpec, ParseError, UsageError
 from .field import _MAX_VECTOR_MODULUS, FieldCtx, pow_mod
-from .harmonic import FpFunction, _require_same_ctx, _shift_rows
+from .harmonic import FpFunction, _require_same_ctx, _residue_mask, _shift_rows
 
 # Largest spec exponent: polynomials are dense coefficient tuples, and tabulating y^d mod p
 # costs about d * p steps (degree 10^4 at p = 10007: ~0.5 s on a 2-vCPU Xeon VM).
 MAX_EXPONENT = 10**4
 
 # Largest p the exact free-set search admits; its int64 instance masks could not go past 62.
-MAX_EXACT_P = 31
+MAX_EXACT_P = 37
 
 
 @dataclass(frozen=True)
@@ -375,8 +375,8 @@ def lambda_linear(sys_spec: LinearSystemSpec, fs, restricted: bool) -> complex:
 def find_progression(A, spec: ProgressionSpec, p: int | None = None):
     """First (x, y) with y != 0 whose configuration lies in A, or None.
 
-    A is a length-p boolean bitset (p inferred) or an iterable of residues, read mod p
-    (p required). Exhaustive O(p^2) scan with early exit, y then x ascending. The empty
+    A is a length-p boolean bitset (p inferred) or an iterable of integer residues, read
+    mod p (p required). Exhaustive O(p^2) scan with early exit, y then x ascending. The empty
     field (p = 0) holds no configuration.
     """
     bits = np.asarray(A)
@@ -389,9 +389,7 @@ def find_progression(A, spec: ProgressionSpec, p: int | None = None):
     elif p is None:
         raise UsageError("pass p explicitly when A is not a boolean bitset")
     elif p:  # the empty field has no residue to mark
-        residues, bits = np.atleast_1d(bits), np.zeros(p, dtype=bool)
-        for x in residues:
-            bits[int(x) % p] = True
+        bits = _residue_mask(np.atleast_1d(bits), p)
     if p == 0:
         return None
     offsets = [off[1:] for off in config_offsets(spec, p)]  # y = 1 .. p-1
@@ -406,7 +404,7 @@ def _instance_masks(spec: ProgressionSpec, p: int) -> list[int]:
     """Distinct point sets of all y != 0 configuration instances, as bitmask ints.
 
     The masks are int64 ORs of the weights 1 << x, so they need p < 63;
-    exact_max_free_set refuses larger p (by default, p > 31) before it builds this table.
+    exact_max_free_set refuses larger p (by default, p > 37) before it builds this table.
     """
     offsets = [off[1:] for off in config_offsets(spec, p)]
     weights = np.left_shift(1, np.arange(p, dtype=np.int64))
@@ -414,57 +412,104 @@ def _instance_masks(spec: ProgressionSpec, p: int) -> list[int]:
     return sorted({mask for _, _, acc in blocks for mask in acc.ravel().tolist()})
 
 
+def _closing_masks(spec: ProgressionSpec, p: int) -> list[list[int]]:
+    """closing[e]: every instance whose largest point is e, as the mask of its other points.
+
+    The searches add elements in ascending order, so adding e can only close an instance
+    filed under e, and an instance filed under e < n lies inside {0..n-1}.
+    """
+    closing: list[list[int]] = [[] for _ in range(p)]
+    for mask in _instance_masks(spec, p):
+        top = mask.bit_length() - 1
+        closing[top].append(mask & ~(1 << top))
+    return closing
+
+
+def _largest_free_set(closing, bound, n: int, best_size: int, best_mask: int, meter=None):
+    """(size, mask) of the lexicographically smallest largest subset of {0..n-1} that holds 0
+    and closes no instance of `closing`, if its size beats best_size; else the best passed in.
+
+    Depth-first over 1..n-1 in ascending order, the include branch popped first, so the
+    first set of a size is the smallest. A node at element i can add at most bound[n - i]
+    of i..n-1, so it is cut when that cannot beat the best. meter(nodes) runs every 4096
+    nodes popped.
+    """
+    stack = [(1, 1, 1)]
+    nodes = 0
+    while stack:
+        nodes += 1
+        if meter is not None and not nodes & 4095:
+            meter(nodes)
+        i, current, size = stack.pop()
+        if size > best_size:
+            best_size, best_mask = size, current
+        if i == n or size + bound[n - i] <= best_size:
+            continue
+        stack.append((i + 1, current, size))
+        for other in closing[i]:
+            if other & current == other:
+                break
+        else:
+            stack.append((i + 1, current | 1 << i, size + 1))
+    return best_size, best_mask
+
+
+# Interval lengths up to which _interval_bounds searches R[n] exactly; longer ones take the
+# subadditive bound. m=3 at p = 31 on a 2-vCPU Xeon: 63 ms for the search this way, 233 ms
+# with R exact up to n = 30 (the longer exact searches cost more than their tighter cuts save).
+_EXACT_BOUND_LEN = 12
+
+
+def _interval_bounds(closing, top: int) -> list[int]:
+    """R[n] for n <= top: at least the size of the largest subset of {0..n-1} holding no
+    instance that lies inside {0..n-1}; exact for n <= _EXACT_BOUND_LEN. {0} must be free.
+
+    A set of R[n-1] + 1 elements must hold 0 and n-1, or a translate of it would fit in n-1
+    places, so an exact R[n] is R[n-1] or R[n-1] + 1: one search from 0, cut by the R values
+    already found, decides it. Past _EXACT_BOUND_LEN, R[n] = min_a R[a] + R[n-a].
+    """
+    bound = [0, 1]
+    for n in range(2, top + 1):
+        if n <= _EXACT_BOUND_LEN:
+            bound.append(_largest_free_set(closing, bound, n, bound[-1], 0)[0])
+        else:
+            bound.append(min(bound[a] + bound[n - a] for a in range(1, n // 2 + 1)))
+    return bound
+
+
 def exact_max_free_set(ctx: FieldCtx, spec: ProgressionSpec) -> tuple[int, list[int]]:
     """Maximum subset of F_p containing no configuration instance with y != 0.
 
     Branch and bound over elements in ascending order; translation symmetry
     pins 0 into the set. Returns the lexicographically smallest maximum set.
+    A node that has decided 0..i-1 is cut unless its size plus R[p-i] beats the
+    best set so far, where R[n] bounds the largest subset of {0..n-1} holding no
+    instance inside {0..n-1} (the classical interval bound for r_3(n)): the
+    instances are closed under x -> x + t, so the set's part in {i..p-1},
+    shifted down by i, is such a subset. The cut drops only subtrees that
+    cannot beat the best, so the answer is the one an uncut search finds.
     The budget is charged for the instance table, then again every 4096 DFS
-    nodes for the table plus the nodes popped so far. The table packs point
-    sets into int64 masks, so p is refused past min(MAX_EXACT_P, 62).
+    nodes for the table plus the nodes popped so far. The R table is built
+    after the first charge and is not charged: its searches pop fewer than
+    2^13 nodes in all. The table packs point sets into int64 masks, so p is
+    refused past min(MAX_EXACT_P, 62).
     """
     require_valid(spec)
     p = ctx.p
     if p > min(MAX_EXACT_P, 62):
         raise BudgetExceeded(f"p={p} exceeds search cap {min(MAX_EXACT_P, 62)}")
     table = p * (p - 1) * spec.total_points
-    charge(table, f"exact_max_free_set(p={p})")
-    # Elements join in ascending order, so adding e can only close an instance
-    # whose largest point is e: file each instance under its top bit.
-    closing: list[list[int]] = [[] for _ in range(p)]
-    for mask in _instance_masks(spec, p):
-        top = mask.bit_length() - 1
-        closing[top].append(mask & ~(1 << top))
-
-    def can_add(current: int, e: int) -> bool:
-        for other in closing[e]:
-            if other & current == other:
-                return False
-        return True
-
-    if not can_add(0, 0):
+    what = f"exact_max_free_set(p={p})"
+    charge(table, what)
+    closing = _closing_masks(spec, p)
+    if closing[0]:
         # {0} already forbidden; by translation invariance so is every singleton
         return 0, []
-
-    # DFS stack of (next element, current mask, size); include branch pushed last
-    # so it pops first, making the first maximum found lexicographically smallest.
-    stack = [(1, 1, 1)]
-    best_size, best_mask = 1, 1
-    nodes = 0
-    while stack:
-        nodes += 1
-        if not nodes & 4095:
-            charge(table + nodes, f"exact_max_free_set(p={p})")
-        i, current, size = stack.pop()
-        if size > best_size:
-            best_size, best_mask = size, current
-        if i == p or size + (p - i) <= best_size:
-            continue
-        stack.append((i + 1, current, size))
-        if can_add(current, i):
-            stack.append((i + 1, current | 1 << i, size + 1))
-    elements = [e for e in range(p) if best_mask >> e & 1]
-    return best_size, elements
+    bound = _interval_bounds(closing, p - 1)
+    size, mask = _largest_free_set(
+        closing, bound, p, 1, 1, lambda nodes: charge(table + nodes, what)
+    )
+    return size, [e for e in range(p) if mask >> e & 1]
 
 
 # ---------------------------------------------------------------------------

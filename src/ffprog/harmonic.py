@@ -7,6 +7,7 @@ coefficient at alpha is E_x f(x) e_p(alpha x) with e_p(t) = exp(2*pi*i*t/p).
 import itertools
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -85,11 +86,20 @@ def constant(ctx: FieldCtx, c: complex = 1.0) -> FpFunction:
     return FpFunction(ctx, np.full(ctx.p, c, dtype=np.complex128), bounded=abs(c) <= 1 + BOUND_TOL)
 
 
+def _residue_mask(values, p: int) -> np.ndarray:
+    """Length-p boolean mask of the integers in values, read mod p; refuses any other value."""
+    mask = np.zeros(p, dtype=bool)
+    for x in values:
+        try:
+            residue = operator.index(x) % p
+        except TypeError:
+            raise UsageError(f"residues must be integers, got {x}") from None
+        mask[residue] = True
+    return mask
+
+
 def indicator(ctx: FieldCtx, subset) -> FpFunction:
-    vals = np.zeros(ctx.p, dtype=np.complex128)
-    for x in subset:
-        vals[x % ctx.p] = 1.0
-    return FpFunction(ctx, vals, bounded=True)
+    return FpFunction(ctx, _residue_mask(subset, ctx.p).astype(np.complex128), bounded=True)
 
 
 def additive_char(ctx: FieldCtx, a: int) -> FpFunction:

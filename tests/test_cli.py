@@ -159,6 +159,23 @@ def test_lambda_is_metered(tmp_path, monkeypatch, capsys):
     assert len(err) == 1 and err[0].startswith("error: BudgetExceeded: ")
 
 
+def test_warning_is_one_line_without_a_source_location(tmp_path, capsys):
+    # 7y^4 vanishes mod 7, so lambda warns that P_3 loses degree
+    ctx = make_field(7)
+    paths = []
+    for i in range(4):
+        path = tmp_path / f"f{i}.json"
+        path.write_text(FpFunction(ctx, np.exp(2j * np.pi * np.arange(7) * i / 7)).to_json())
+        paths.append(str(path))
+    assert main(["lambda", "--spec", "m=3;P=7y^4+y^3", "--fixtures", ",".join(paths)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("lambda = ")
+    assert captured.err == (
+        "warning: P_3 loses degree mod 7 (leading coefficient divisible by p); "
+        "the degree condition was checked over the rationals\n"
+    )
+
+
 def test_weil_kth_power_configuration_is_usage_error(capsys):
     # x^2 / (x-1)^2 is a square: outside the corollary, not a failed bound
     assert main(["weil", "--p", "101", "--k", "2", "--r", "2", "--points", "0,0,1,1"]) == 1

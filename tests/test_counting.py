@@ -33,7 +33,9 @@ from ffprog import (
 )
 from ffprog import counting
 from ffprog.counting import (
+    _closing_masks,
     _instance_masks,
+    _interval_bounds,
     _slot_reduce,
     config_offsets,
     lambda_ap_weighted,
@@ -567,6 +569,14 @@ def test_find_progression_input_handling():
         assert find_progression([], spec, p=0) is None
 
 
+@pytest.mark.parametrize("residues", [[0.5, 1.7, 3.2], np.array([0.0, 1.0, 2.0]), ["0"]])
+def test_find_progression_refuses_non_integer_residues(residues):
+    # truncated, 0.5, 1.7, 3.2 would read as {0, 1, 3}, which holds the progression (1, 2)
+    with pytest.raises(UsageError, match="residues must be integers, got "):
+        find_progression(residues, ProgressionSpec(3), p=5)
+    assert find_progression(np.array([0, 1, 2]), ProgressionSpec(3), p=5) == (0, 1)
+
+
 def test_find_progression_requires_nonzero_y():
     # {0} alone has no instance of a 3-AP with y != 0 at p=5
     A = np.zeros(5, dtype=bool)
@@ -641,18 +651,22 @@ def test_exact_max_free_set_examples():
 
 def test_exact_max_free_set_cap():
     with pytest.raises(BudgetExceeded):
-        exact_max_free_set(make_field(37), ProgressionSpec(3))
+        exact_max_free_set(make_field(41), ProgressionSpec(3))
 
 
 def test_exact_max_free_set_meters_its_search():
-    # the instance table costs 29 * 28 * 4 terms; the ~1.3 million DFS nodes are charged as
-    # they are popped, so a budget of 10^5 stops the search
+    # the instance table costs 29 * 28 * 4 = 3248 terms; the ~980 000 DFS nodes are charged
+    # as they are popped, every 4096, so a budget of 10^5 stops the search at the first
+    # multiple of 4096 nodes past it, whatever the shape of the tree
     set_budget(10**5)
     try:
-        with pytest.raises(BudgetExceeded, match="exact_max_free_set"):
+        with pytest.raises(BudgetExceeded) as refused:
             exact_max_free_set(make_field(29), ProgressionSpec(4))
     finally:
         set_budget(None)
+    assert str(refused.value) == (
+        "exact_max_free_set(p=29) needs ~101552 elementary terms, budget is 100000"
+    )
 
 
 def _smallest_max_free_set(spec, p):
@@ -669,6 +683,59 @@ def test_exact_max_free_set_matches_bruteforce():
         for p in (3, 5, 7, 11):
             expected = _smallest_max_free_set(spec, p)
             assert exact_max_free_set(make_field(p), spec) == expected, (text, p)
+
+
+@pytest.mark.parametrize("text", ["m=3", "m=3;P=y^3,y^4"])
+def test_exact_max_free_set_matches_bruteforce_at_13(text):
+    spec = parse_progression_spec(text)
+    assert exact_max_free_set(make_field(13), spec) == _smallest_max_free_set(spec, 13)
+
+
+def _largest_free_interval_subset(spec, p, n):
+    """Size of the largest subset of {0..n-1} holding no y != 0 instance inside {0..n-1}."""
+    inside = set()
+    for y in range(1, p):
+        for x in range(p):
+            points = {(x + o) % p for o in _slot_offsets(spec, y, p)}
+            if max(points) < n:
+                inside.add(sum(1 << pt for pt in points))
+    subsets = np.arange(1 << n)
+    free = np.ones(1 << n, dtype=bool)
+    for mask in inside:
+        free &= (subsets & mask) != mask
+    return max(bin(s).count("1") for s in np.flatnonzero(free))
+
+
+@pytest.mark.parametrize("text", ["m=3;P=y^3,y^4", "m=3", "m=4", "m=1;P=y^3", "m=2;P=-y^2+2y^3"])
+@pytest.mark.parametrize("p", [11, 13])
+def test_interval_bounds_match_bruteforce(p, text):
+    spec = parse_progression_spec(text)
+    bound = _interval_bounds(_closing_masks(spec, p), min(p, 12))
+    expected = [_largest_free_interval_subset(spec, p, n) for n in range(min(p, 12) + 1)]
+    assert bound == expected
+
+
+def test_interval_bounds_past_the_exact_range_stay_upper_bounds():
+    spec = ProgressionSpec(3)
+    bound = _interval_bounds(_closing_masks(spec, 31), 16)
+    # below p / 2 a 3-AP mod 31 inside {0..n-1} is an integer one, so R[n] = r_3(n) (A003002)
+    assert bound[:13] == [0, 1, 2, 2, 3, 4, 4, 4, 4, 5, 5, 6, 6]
+    for n in range(13, 17):
+        assert bound[n] >= _largest_free_interval_subset(spec, 31, n)
+
+
+def test_exact_max_free_set_edge_specs():
+    # m > p: every instance covers F_p, so all but one element is free
+    assert exact_max_free_set(make_field(31), ProgressionSpec(40)) == (30, list(range(30)))
+    assert exact_max_free_set(make_field(3), ProgressionSpec(40)) == (2, [0, 1])
+    # m = 1: every singleton is an instance, so even {0} is forbidden
+    assert exact_max_free_set(make_field(31), ProgressionSpec(1)) == (0, [])
+
+
+def test_exact_max_free_set_golden_p37():
+    # golden value: the search without the interval bound returns the same set
+    size, elements = exact_max_free_set(make_field(37), ProgressionSpec(3))
+    assert size == 10 and elements == [0, 1, 3, 7, 17, 24, 25, 28, 29, 35]
 
 
 def test_exact_max_free_set_golden_sets():

@@ -10,6 +10,7 @@ from ffprog import (
     BudgetExceeded,
     FpFunction,
     MalformedFixture,
+    UsageError,
     additive_char,
     constant,
     fourier,
@@ -69,6 +70,15 @@ def test_parseval():
     lhs = (np.abs(coeffs) ** 2).sum()
     rhs = (np.abs(f.values) ** 2).mean()
     assert abs(lhs - rhs) < 1e-9
+
+
+def test_indicator_reads_integer_residues_mod_p():
+    ctx = make_field(5)
+    values = indicator(ctx, [0, -2, 8, np.int64(13)]).values
+    assert values.tolist() == [1, 0, 0, 1, 0]
+    for subset in ([2.7], [np.float64(1.0)]):
+        with pytest.raises(UsageError, match="residues must be integers, got "):
+            indicator(ctx, subset)
 
 
 def test_norms_examples():
