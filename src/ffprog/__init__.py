@@ -6,6 +6,8 @@ character sums against Weil-type bounds, and exact/greedy searches for
 progression-free sets: everything checkable numerically at small p.
 """
 
+from types import ModuleType as _ModuleType
+
 from .budget import get_budget, set_budget
 from .counting import (
     IntPolynomial,
@@ -71,4 +73,9 @@ from .harmonic import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imported functions and classes; the submodules the imports bind are not part of it
+__all__ = [
+    name
+    for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]

@@ -425,16 +425,20 @@ def _closing_masks(spec: ProgressionSpec, p: int) -> list[list[int]]:
     return closing
 
 
-def _largest_free_set(closing, bound, n: int, best_size: int, best_mask: int, meter=None):
-    """(size, mask) of the lexicographically smallest largest subset of {0..n-1} that holds 0
-    and closes no instance of `closing`, if its size beats best_size; else the best passed in.
+def _largest_free_set(
+    closing, bound, n: int, best_size: int, best_mask: int, meter=None, start=(1, 1, 1)
+):
+    """(size, mask) of the lexicographically smallest largest subset of {0..n-1} that holds
+    the root's elements and closes no instance of `closing`, if its size beats best_size;
+    else the best passed in.
 
-    Depth-first over 1..n-1 in ascending order, the include branch popped first, so the
-    first set of a size is the smallest. A node at element i can add at most bound[n - i]
-    of i..n-1, so it is cut when that cannot beat the best. meter(nodes) runs every 4096
-    nodes popped.
+    The root start = (i, mask, size) has decided 0..i-1 and holds the elements of mask; the
+    default holds just 0. Depth-first over i..n-1 in ascending order, the include branch
+    popped first, so the first set of a size is the smallest. A node at element i can add
+    at most bound[n - i] of i..n-1, so it is cut when that cannot beat the best.
+    meter(nodes) runs every 4096 nodes popped.
     """
-    stack = [(1, 1, 1)]
+    stack = [start]
     nodes = 0
     while stack:
         nodes += 1
@@ -482,6 +486,9 @@ def exact_max_free_set(ctx: FieldCtx, spec: ProgressionSpec) -> tuple[int, list[
 
     Branch and bound over elements in ascending order; translation symmetry
     pins 0 into the set. Returns the lexicographically smallest maximum set.
+    With no polynomial slots the instances are also closed under x -> a*x
+    (a != 0), so when {0, 1} is free some maximum set holds 0 and 1, and so
+    does the smallest: the search starts from {0, 1}.
     A node that has decided 0..i-1 is cut unless its size plus R[p-i] beats the
     best set so far, where R[n] bounds the largest subset of {0..n-1} holding no
     instance inside {0..n-1} (the classical interval bound for r_3(n)): the
@@ -506,8 +513,9 @@ def exact_max_free_set(ctx: FieldCtx, spec: ProgressionSpec) -> tuple[int, list[
         # {0} already forbidden; by translation invariance so is every singleton
         return 0, []
     bound = _interval_bounds(closing, p - 1)
+    start = (2, 0b11, 2) if not spec.polys and not closing[1] else (1, 1, 1)
     size, mask = _largest_free_set(
-        closing, bound, p, 1, 1, lambda nodes: charge(table + nodes, what)
+        closing, bound, p, 1, 1, lambda nodes: charge(table + nodes, what), start
     )
     return size, [e for e in range(p) if mask >> e & 1]
 

@@ -389,11 +389,13 @@ def greedy_free_set(ctx: FieldCtx, spec: ProgressionSpec, seed: int) -> tuple[li
     # rel[j][i][y] is where slot i sits, relative to e, when slot j is at e (y != 0).
     offsets = np.stack(config_offsets(spec, p))[:, 1:]
     rel = (offsets[None, :, :] - offsets[:, None, :]) % p
-    bits = np.zeros(p, dtype=bool)
+    # twice holds bits twice over, so rel + e (< 2p) indexes it with no % p per candidate
+    twice = np.zeros(2 * p, dtype=bool)
     for e in order:
-        bits[e] = True
-        if bits[(rel + e) % p].all(axis=1).any():
-            bits[e] = False
+        twice[e] = twice[e + p] = True
+        if twice[rel + e].all(axis=1).any():
+            twice[e] = twice[e + p] = False
+    bits = twice[:p]
     witness = find_progression(bits, spec)
     if witness is not None:
         raise BoundViolation(f"greedy set contains the instance (x, y) = {witness}")

@@ -36,6 +36,7 @@ from ffprog.counting import (
     _closing_masks,
     _instance_masks,
     _interval_bounds,
+    _largest_free_set,
     _slot_reduce,
     config_offsets,
     lambda_ap_weighted,
@@ -655,7 +656,7 @@ def test_exact_max_free_set_cap():
 
 
 def test_exact_max_free_set_meters_its_search():
-    # the instance table costs 29 * 28 * 4 = 3248 terms; the ~980 000 DFS nodes are charged
+    # the instance table costs 29 * 28 * 4 = 3248 terms; the ~323 000 DFS nodes are charged
     # as they are popped, every 4096, so a budget of 10^5 stops the search at the first
     # multiple of 4096 nodes past it, whatever the shape of the tree
     set_budget(10**5)
@@ -730,6 +731,47 @@ def test_exact_max_free_set_edge_specs():
     assert exact_max_free_set(make_field(3), ProgressionSpec(40)) == (2, [0, 1])
     # m = 1: every singleton is an instance, so even {0} is forbidden
     assert exact_max_free_set(make_field(31), ProgressionSpec(1)) == (0, [])
+
+
+def _unpinned_search(spec, p):
+    """exact_max_free_set's search from {0} alone, the root it takes when it cannot pin 1."""
+    closing = _closing_masks(spec, p)
+    size, mask = _largest_free_set(
+        closing, _interval_bounds(closing, p - 1), p, 1, 1, start=(1, 1, 1)
+    )
+    return size, [e for e in range(p) if mask >> e & 1]
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 40])
+def test_pinned_search_matches_unpinned(m):
+    spec = ProgressionSpec(m)
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        if p > 23 and m != 3:
+            continue
+        assert exact_max_free_set(make_field(p), spec) == _unpinned_search(spec, p), p
+
+
+def test_unpinnable_specs_answer_as_before():
+    # {0, 1} is an instance of m=2 at every p and of m=3 at p = 2, and a spec with a
+    # polynomial slot is not closed under x -> a*x: these searches start from {0}
+    for p in (3, 7, 31):
+        assert exact_max_free_set(make_field(p), ProgressionSpec(2)) == (1, [0])
+    assert exact_max_free_set(make_field(2), ProgressionSpec(3)) == (1, [0])
+    spec = parse_progression_spec("m=2;P=y^2")
+    assert exact_max_free_set(make_field(31), spec) == (7, [0, 2, 5, 7, 12, 17, 22])
+    # {0, 1} is free here, but no largest set holds both 0 and 1: the search from {0, 1}
+    # would stop at 4 elements
+    spec = parse_progression_spec("m=3;P=2y^3")
+    assert exact_max_free_set(make_field(11), spec) == (5, [0, 2, 4, 6, 8])
+
+
+def test_pinned_search_meters_few_nodes(monkeypatch):
+    # one charge for the instance table, then one per 4096 DFS nodes: the search from
+    # {0, 1} pops 15 524 nodes for m=3 at p = 31, the one from {0} alone 66 419 (16 charges)
+    charged = []
+    monkeypatch.setattr(counting, "charge", lambda terms, what: charged.append(terms))
+    assert exact_max_free_set(make_field(31), ProgressionSpec(3))[0] == 8
+    assert len(charged) - 1 <= 4
 
 
 def test_exact_max_free_set_golden_p37():

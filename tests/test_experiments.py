@@ -382,6 +382,31 @@ def test_greedy_free_set_matches_full_rescan(text):
             assert all(_completes_instance(spec, p, elements, e) for e in left_out), (p, seed)
 
 
+def _greedy_with_wraparound(spec, p, seed):
+    """greedy_free_set's loop over a length-p bitset, reducing each probe with % p."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(p, 0x67EE))
+    order = np.random.Generator(np.random.Philox(ss)).permutation(p)
+    offsets = np.stack(counting.config_offsets(spec, p))[:, 1:]
+    rel = (offsets[None, :, :] - offsets[:, None, :]) % p
+    bits = np.zeros(p, dtype=bool)
+    for e in order:
+        bits[e] = True
+        if bits[(rel + e) % p].all(axis=1).any():
+            bits[e] = False
+    return [int(e) for e in np.flatnonzero(bits)]
+
+
+@pytest.mark.parametrize(
+    "text, p", [("m=3", 401), ("m=3;P=y^3,y^4", 211), ("m=4", 101), ("m=2;P=y^2", 211)]
+)
+def test_greedy_free_set_matches_the_wraparound_loop(text, p):
+    spec = parse_progression_spec(text)
+    ctx = make_field(p)
+    for seed in range(10):
+        elements, _ = greedy_free_set(ctx, spec, seed)
+        assert elements == _greedy_with_wraparound(spec, p, seed), seed
+
+
 @pytest.mark.parametrize(
     "name, search",
     [
