@@ -37,7 +37,7 @@ from .harmonic import FpFunction, _require_same_ctx, _residue_mask, _shift_rows
 # costs about d * p steps (degree 10^4 at p = 10007: ~0.5 s on a 2-vCPU Xeon VM).
 MAX_EXPONENT = 10**4
 
-# Largest p the exact free-set search admits; its int64 instance masks could not go past 62.
+# Largest p the exact free-set search admits. It must stay <= 62: the instance masks are int64.
 MAX_EXACT_P = 37
 
 
@@ -52,10 +52,6 @@ class IntPolynomial:
         while cs and cs[-1] == 0:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
-
-    @property
-    def degree(self) -> float:
-        return len(self.coeffs) - 1 if self.coeffs else -math.inf
 
     def eval_mod(self, y: int, p: int) -> int:
         """Horner evaluation with reduction at every step."""
@@ -76,8 +72,8 @@ class IntPolynomial:
         return acc
 
 
-def monomial(degree: int, coefficient: int = 1) -> IntPolynomial:
-    return IntPolynomial((0,) * degree + (coefficient,))
+def monomial(degree: int) -> IntPolynomial:
+    return IntPolynomial((0,) * degree + (1,))
 
 
 @dataclass(frozen=True)
@@ -108,30 +104,25 @@ class SpecValidation:
 def _rational_kernel_vector(rows: list[list[Fraction]]) -> list[Fraction] | None:
     """A nonzero kernel vector of the linear map a -> a @ rows, or None.
 
-    rows[j] is the coefficient list of the j-th generator; exact arithmetic.
+    rows[j] is the coefficient list of the j-th generator; exact arithmetic. Row i is reduced
+    with the unit vector e_i appended, so its tail is the combination of generators it has
+    become: the first row whose coefficient part vanishes returns its tail.
     """
     n = len(rows)
-    if n == 0:
-        return None
     width = max((len(r) for r in rows), default=0)
-    mat = [list(r) + [Fraction(0)] * (width - len(r)) for r in rows]
-    # Gauss-Jordan on the transpose-free system: eliminate to find dependent row.
-    pivots: list[tuple[int, int]] = []  # (row index, column) in reduced order
-    combo = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]  # track row ops
-    for i in range(n):
-        # reduce row i by previous pivots
-        for pr, pc in pivots:
-            factor = mat[i][pc]
+    pivots: list[tuple[list[Fraction], int]] = []  # (reduced row, its pivot column)
+    for i, r in enumerate(rows):
+        row = list(r) + [Fraction(0)] * (width - len(r))
+        row += [Fraction(int(i == j)) for j in range(n)]
+        for pivot_row, pc in pivots:
+            factor = row[pc]
             if factor:
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[pr])]
-                combo[i] = [a - factor * b for a, b in zip(combo[i], combo[pr])]
-        col = next((c for c, v in enumerate(mat[i]) if v != 0), None)
+                row = [a - factor * b for a, b in zip(row, pivot_row)]
+        col = next((c for c in range(width) if row[c] != 0), None)
         if col is None:
-            return combo[i]  # row i is a combination of earlier rows
-        inv = Fraction(1) / mat[i][col]
-        mat[i] = [v * inv for v in mat[i]]
-        combo[i] = [v * inv for v in combo[i]]
-        pivots.append((i, col))
+            return row[width:]
+        inv = 1 / row[col]
+        pivots.append(([v * inv for v in row], col))
     return None
 
 
@@ -202,7 +193,12 @@ def _warn_on_degree_collapse(spec: ProgressionSpec, p: int) -> None:
 _STRIP = 1 << 14
 
 
-def _slot_reduce(arrays, offsets, p: int, ufunc, dtype, prefix=None):
+def _charge_scan(rows: int, p: int, slots: int) -> None:
+    """The budget charge of an (x, y) scan: rows values of y, p of x, slots gathers each."""
+    charge(rows * p * slots, f"(x, y) scan(p={p}, slots={slots})")
+
+
+def _slot_reduce(arrays, offsets, ufunc, prefix=None):
     """Yield (y0, taken, acc) over blocks of y, acc[y - y0, x] = ufunc_{j<taken} a_j(x + o_j[y]).
 
     a_j is arrays[j] and o_j is offsets[j]. This is the one (x, y) scan behind Lambda, dual
@@ -213,19 +209,19 @@ def _slot_reduce(arrays, offsets, p: int, ufunc, dtype, prefix=None):
     is yielded once all its slots are in (taken = len(arrays)) and, before that, after its
     first `prefix` slots, so a caller reads a prefix of the configuration from the same pass;
     it must read a block before it asks for the next. At least one slot and p >= 1 are
-    required; the rows are the values of y in offsets[0]. The budget is charged
-    rows * p * slots before the first block.
+    required. p is the length of the slots and the block's dtype is theirs (all slots share
+    one); the rows are the values of y in offsets[0]. The budget is charged rows * p * slots
+    before the shift views and the first block.
     """
+    p, rows, n = len(arrays[0]), len(offsets[0]), len(arrays)
+    _charge_scan(rows, p, n)
     windows = [_shift_rows(a) for a in arrays]  # row j of a shift view is x -> a(x + j)
     chunk = max(1, (1 << 21) // p)
     strip = max(1, _STRIP // p)
-    rows = len(offsets[0])
-    n = len(windows)
-    charge(rows * p * n, f"(x, y) scan(p={p}, slots={n})")
     stops = [prefix, n] if prefix is not None and 0 < prefix < n else [n]
     for y0 in range(0, rows, chunk):
         y1 = min(y0 + chunk, rows)
-        acc = np.empty((y1 - y0, p), dtype=dtype)
+        acc = np.empty((y1 - y0, p), dtype=arrays[0].dtype)
         start = 0
         for stop in stops:
             for r0 in range(y0, y1, strip):
@@ -255,7 +251,7 @@ def _product_means(spec: ProgressionSpec, fs, prefix=None, y_weight=None) -> dic
     totals = {}
     values = [f.values for f in fs]
     offsets = config_offsets(spec, p)
-    for y0, taken, prod in _slot_reduce(values, offsets, p, np.multiply, np.complex128, prefix):
+    for y0, taken, prod in _slot_reduce(values, offsets, np.multiply, prefix):
         if y_weight is not None:
             prod *= y_weight[y0 : y0 + len(prod), None]
         totals[taken] = totals.get(taken, 0.0 + 0j) + prod.sum()
@@ -306,8 +302,7 @@ def dual_function(spec: ProgressionSpec, fs, omit: int) -> FpFunction:
     others = [f for j, f in enumerate(fs) if j != omit]
     shifts = [(off - offsets[omit]) % p for j, off in enumerate(offsets) if j != omit]
     out = np.zeros(p, dtype=np.complex128)
-    blocks = _slot_reduce([f.values for f in others], shifts, p, np.multiply, np.complex128)
-    for _, _, prod in blocks:
+    for _, _, prod in _slot_reduce([f.values for f in others], shifts, np.multiply):
         out += prod.sum(axis=0)
     out /= p
     bounded = all(f.bounded for f in others)
@@ -356,12 +351,7 @@ def lambda_linear(sys_spec: LinearSystemSpec, fs, restricted: bool) -> complex:
         raise UsageError("d <= 3 enforced (cost p^d)")
     p = _field_of(fs, len(sys_spec.forms)).p
     charge(p**sys_spec.d * len(sys_spec.forms), f"lambda_linear(p={p}, d={sys_spec.d})")
-    axes = []
-    for j, k in enumerate(sys_spec.powers):
-        t = pow_mod(np.arange(p), k if restricted else 1, p)
-        shape = [1] * sys_spec.d
-        shape[j] = p
-        axes.append(t.reshape(shape))
+    axes = np.ix_(*(pow_mod(np.arange(p), k if restricted else 1, p) for k in sys_spec.powers))
     prod = np.ones((p,) * sys_spec.d, dtype=np.complex128)
     for f, row in zip(fs, sys_spec.forms):
         arg = np.zeros((p,) * sys_spec.d, dtype=np.int64)
@@ -377,7 +367,7 @@ def find_progression(A, spec: ProgressionSpec, p: int | None = None):
 
     A is a length-p boolean bitset (p inferred) or an iterable of integer residues, read
     mod p (p required). Exhaustive O(p^2) scan with early exit, y then x ascending. The empty
-    field (p = 0) holds no configuration.
+    field (p = 0) holds no configuration. The scan is charged before A is read.
     """
     bits = np.asarray(A)
     if p is not None and p < 0:
@@ -388,38 +378,33 @@ def find_progression(A, spec: ProgressionSpec, p: int | None = None):
             raise UsageError(f"bitset must have length {p}")
     elif p is None:
         raise UsageError("pass p explicitly when A is not a boolean bitset")
-    elif p:  # the empty field has no residue to mark
-        bits = _residue_mask(np.atleast_1d(bits), p)
     if p == 0:
         return None
+    _charge_scan(p - 1, p, spec.total_points)
+    if bits.dtype != bool:
+        bits = _residue_mask(np.atleast_1d(bits), p)
     offsets = [off[1:] for off in config_offsets(spec, p)]  # y = 1 .. p-1
-    for y0, _, hit in _slot_reduce([bits] * len(offsets), offsets, p, np.logical_and, bool):
+    for y0, _, hit in _slot_reduce([bits] * len(offsets), offsets, np.logical_and):
         first = int(hit.argmax())  # row-major: the smallest y, then the smallest x
         if hit.flat[first]:
             return first % p, 1 + y0 + first // p
     return None
 
 
-def _instance_masks(spec: ProgressionSpec, p: int) -> list[int]:
-    """Distinct point sets of all y != 0 configuration instances, as bitmask ints.
-
-    The masks are int64 ORs of the weights 1 << x, so they need p < 63;
-    exact_max_free_set refuses larger p (by default, p > 37) before it builds this table.
-    """
-    offsets = [off[1:] for off in config_offsets(spec, p)]
-    weights = np.left_shift(1, np.arange(p, dtype=np.int64))
-    blocks = _slot_reduce([weights] * len(offsets), offsets, p, np.bitwise_or, np.int64)
-    return sorted({mask for _, _, acc in blocks for mask in acc.ravel().tolist()})
-
-
 def _closing_masks(spec: ProgressionSpec, p: int) -> list[list[int]]:
     """closing[e]: every instance whose largest point is e, as the mask of its other points.
 
-    The searches add elements in ascending order, so adding e can only close an instance
-    filed under e, and an instance filed under e < n lies inside {0..n-1}.
+    An instance is the distinct point set of a y != 0 configuration; each is filed once, in
+    ascending mask order. The searches add elements in ascending order, so adding e can only
+    close an instance filed under e, and an instance filed under e < n lies inside {0..n-1}.
+    The masks are int64 ORs of the weights 1 << x, so they need p < 63; exact_max_free_set
+    refuses p > MAX_EXACT_P before it builds this table.
     """
+    offsets = [off[1:] for off in config_offsets(spec, p)]
+    weights = np.left_shift(1, np.arange(p, dtype=np.int64))
+    blocks = _slot_reduce([weights] * len(offsets), offsets, np.bitwise_or)
     closing: list[list[int]] = [[] for _ in range(p)]
-    for mask in _instance_masks(spec, p):
+    for mask in sorted({mask for _, _, acc in blocks for mask in acc.ravel().tolist()}):
         top = mask.bit_length() - 1
         closing[top].append(mask & ~(1 << top))
     return closing
@@ -498,13 +483,12 @@ def exact_max_free_set(ctx: FieldCtx, spec: ProgressionSpec) -> tuple[int, list[
     The budget is charged for the instance table, then again every 4096 DFS
     nodes for the table plus the nodes popped so far. The R table is built
     after the first charge and is not charged: its searches pop fewer than
-    2^13 nodes in all. The table packs point sets into int64 masks, so p is
-    refused past min(MAX_EXACT_P, 62).
+    2^13 nodes in all. p is refused past MAX_EXACT_P.
     """
     require_valid(spec)
     p = ctx.p
-    if p > min(MAX_EXACT_P, 62):
-        raise BudgetExceeded(f"p={p} exceeds search cap {min(MAX_EXACT_P, 62)}")
+    if p > MAX_EXACT_P:
+        raise BudgetExceeded(f"p={p} exceeds search cap {MAX_EXACT_P}")
     table = p * (p - 1) * spec.total_points
     what = f"exact_max_free_set(p={p})"
     charge(table, what)

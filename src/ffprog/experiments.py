@@ -27,7 +27,7 @@ from .counting import (
 )
 from .errors import BoundViolation, UsageError
 from .field import FieldCtx, divisors, is_prime, kth_power_residues, make_field, mult_character
-from .harmonic import FpFunction, gowers_fast
+from .harmonic import FpFunction, _residue, gowers_fast
 from . import counting
 
 
@@ -242,7 +242,7 @@ def counterexample_demo(ctx: FieldCtx, a: int) -> tuple[float, float]:
     q3 = t
     spec = ProgressionSpec(m=3, polys=(monomial(2),))
     # identity Q_0(x) + Q_1(x+y) + Q_2(x+2y) + Q_3(x+y^2) == 0 on all of F_p^2
-    for _, _, total in _slot_reduce([q0, q1, q2, q3], config_offsets(spec, p), p, np.add, np.int64):
+    for _, _, total in _slot_reduce([q0, q1, q2, q3], config_offsets(spec, p), np.add):
         if (total % p).any():
             raise BoundViolation("phase cancellation identity failed")
     fs = [FpFunction(ctx, ctx.twiddle[a * q % p], bounded=True) for q in (q0, q1, q2, q3)]
@@ -316,7 +316,7 @@ def weil_corollary_check(ctx: FieldCtx, k: int, r: int, points) -> tuple[float, 
     kk = math.gcd(int(k), p - 1)
     if kk == 1:
         raise UsageError(f"k={k} reduces to the principal character mod {p}")
-    bs = [int(b) % p for b in points]
+    bs = [_residue(b, p) for b in points]
     if len(bs) != 2 * r:
         raise UsageError(f"need 2r={2 * r} points, got {len(bs)}")
     # n(b): multiplicity of x - b in the numerator minus that in the denominator

@@ -86,15 +86,19 @@ def constant(ctx: FieldCtx, c: complex = 1.0) -> FpFunction:
     return FpFunction(ctx, np.full(ctx.p, c, dtype=np.complex128), bounded=abs(c) <= 1 + BOUND_TOL)
 
 
+def _residue(x, p: int) -> int:
+    """The integer x read mod p; refuses any other value (a float, a string)."""
+    try:
+        return operator.index(x) % p
+    except TypeError:
+        raise UsageError(f"residues must be integers, got {x}") from None
+
+
 def _residue_mask(values, p: int) -> np.ndarray:
     """Length-p boolean mask of the integers in values, read mod p; refuses any other value."""
     mask = np.zeros(p, dtype=bool)
     for x in values:
-        try:
-            residue = operator.index(x) % p
-        except TypeError:
-            raise UsageError(f"residues must be integers, got {x}") from None
-        mask[residue] = True
+        mask[_residue(x, p)] = True
     return mask
 
 
@@ -159,8 +163,9 @@ def _dft_sum_naive(values: np.ndarray, twiddle: np.ndarray) -> np.ndarray:
 
 def fourier(f: FpFunction, strategy: str = "fast") -> np.ndarray:
     """The coefficients coeffs[alpha] = E_x f(x) e_p(alpha x) of f; `strategy` is "naive"
-    (direct O(p^2)) or "fast" (chirp)."""
+    (direct O(p^2), charged p^2) or "fast" (chirp)."""
     if strategy == "naive":
+        charge_power(f.p, 2, 1, f"fourier(naive, p={f.p})")
         sums = _dft_sum_naive(f.values, f.ctx.twiddle)
     elif strategy == "fast":
         sums = _dft_sum_fast(f.values)

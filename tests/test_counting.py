@@ -34,7 +34,6 @@ from ffprog import (
 from ffprog import counting
 from ffprog.counting import (
     _closing_masks,
-    _instance_masks,
     _interval_bounds,
     _largest_free_set,
     _slot_reduce,
@@ -56,10 +55,9 @@ def unimodular(ctx, seed):
 def test_polynomial_normalization():
     P = IntPolynomial((1, 2, 0, 0))
     assert P.coeffs == (1, 2)
-    assert P.degree == 1
+    assert len(P.coeffs) - 1 == 1
     zero = IntPolynomial((0, 0))
     assert zero.coeffs == ()
-    assert zero.degree == -math.inf
 
 
 def test_eval_mod_matches_vectorized():
@@ -93,6 +91,34 @@ def test_validate_empty_and_witness_correctness():
         for i, c in enumerate(P.coeffs):
             combo[i] += a * c
     assert any(combo[:3]) and not any(combo[3:])
+
+
+def test_validate_spec_witnesses_on_random_specs():
+    # each spec is valid exactly when its high coefficients (y^m and up) have full row rank;
+    # otherwise the witness is a primitive integer vector with a positive lead whose
+    # combination of the polys has degree < m
+    rng = np.random.default_rng(19)
+    invalid = 0
+    for _ in range(500):
+        m = int(rng.integers(1, 5))
+        polys = tuple(
+            IntPolynomial(tuple(int(c) for c in rng.integers(-2, 3, int(rng.integers(1, 7)))))
+            for _ in range(int(rng.integers(1, 4)))
+        )
+        check = validate_spec(ProgressionSpec(m, polys))
+        width = max(len(P.coeffs) for P in polys) + 1
+        high = np.array([list(P.coeffs) + [0] * (width - len(P.coeffs)) for P in polys])[:, m:]
+        full_rank = high.size > 0 and np.linalg.matrix_rank(high) == len(polys)
+        assert check.valid == full_rank
+        if check.valid:
+            assert check.witness is None
+            continue
+        invalid += 1
+        w = check.witness
+        assert len(w) == len(polys) and all(type(a) is int for a in w)
+        assert math.gcd(*w) == 1 and next(a for a in w if a) > 0
+        assert not any(sum(a * row for a, row in zip(w, high)))
+    assert 100 < invalid < 400
 
 
 def test_validate_rational_kernel():
@@ -423,8 +449,9 @@ def test_scans_charge_before_the_first_block(scan, terms):
 # --- the (x, y) scan ------------------------------------------------------
 
 
-def _straight_slot_reduce(arrays, offsets, p, ufunc, dtype, prefix=None):
+def _straight_slot_reduce(arrays, offsets, ufunc, prefix=None):
     """The scan without strips, kept as the reference: each slot gathered over a whole block."""
+    p, dtype = len(arrays[0]), arrays[0].dtype
     windows = [_shift_rows(a) for a in arrays]
     chunk = max(1, (1 << 21) // max(p, 1))
     for y0 in range(0, len(offsets[0]), chunk):
@@ -469,12 +496,12 @@ def test_slot_reduce_matches_straight_scan(p):
     n = spec.total_points
     values = [np.exp(2j * np.pi * rng.random(p)) for _ in range(n)]
     for prefix in (None, spec.m, n):
-        _assert_same_blocks(values, offsets, p, np.multiply, np.complex128, prefix)
+        _assert_same_blocks(values, offsets, np.multiply, prefix)
     nonzero_y = [off[1:] for off in offsets]
     bits = rng.random(p) < 0.7
-    _assert_same_blocks([bits] * n, nonzero_y, p, np.logical_and, bool)
+    _assert_same_blocks([bits] * n, nonzero_y, np.logical_and)
     masks = [rng.integers(0, 1 << 62, p, dtype=np.int64) for _ in range(n)]
-    _assert_same_blocks(masks, nonzero_y, p, np.bitwise_or, np.int64)
+    _assert_same_blocks(masks, nonzero_y, np.bitwise_or)
 
 
 @pytest.mark.parametrize("p", [2, 3, 7])
@@ -486,15 +513,15 @@ def test_slot_reduce_on_small_fields(p, text):
     offsets = config_offsets(spec, p)
     values = [np.exp(2j * np.pi * rng.random(p)) for _ in range(n)]
     seen = []
-    for y0, taken, acc in _slot_reduce(values, offsets, p, np.multiply, np.complex128, spec.m):
+    for y0, taken, acc in _slot_reduce(values, offsets, np.multiply, spec.m):
         seen.append((y0, taken))
         expected = _scan_by_definition(values[:taken], offsets[:taken], p, np.multiply, complex)
         assert acc.tobytes() == expected.tobytes()
     assert seen == ([(0, spec.m)] if spec.m < n else []) + [(0, n)]  # prefix n is not yielded
-    # rows = p - 1, as in find_progression and _instance_masks: y runs over 1 .. p-1
+    # rows = p - 1, as in find_progression and _closing_masks: y runs over 1 .. p-1
     nonzero_y = [off[1:] for off in offsets]
     masks = [np.left_shift(1, np.arange(p, dtype=np.int64))] * n
-    blocks = list(_slot_reduce(masks, nonzero_y, p, np.bitwise_or, np.int64))
+    blocks = list(_slot_reduce(masks, nonzero_y, np.bitwise_or))
     assert len(blocks) == 1 and blocks[0][2].shape == (p - 1, p)
     expected = _scan_by_definition(masks, nonzero_y, p, np.bitwise_or, np.int64)
     assert np.array_equal(blocks[0][2], expected)
@@ -514,12 +541,23 @@ def test_slot_reduce_with_a_short_last_strip(monkeypatch, rows):
     rng = np.random.default_rng(7)
     values = [np.exp(2j * np.pi * rng.random(p)) for _ in range(spec.total_points)]
     seen = []
-    for y0, taken, acc in _slot_reduce(values, offsets, p, np.multiply, np.complex128, spec.m):
+    for y0, taken, acc in _slot_reduce(values, offsets, np.multiply, spec.m):
         seen.append((y0, taken))
         expected = _scan_by_definition(values[:taken], offsets[:taken], p, np.multiply, complex)
         assert acc.tobytes() == expected.tobytes()
     assert seen == [(0, spec.m), (0, spec.total_points)]
-    _assert_same_blocks(values, offsets, p, np.multiply, np.complex128, spec.m)
+    _assert_same_blocks(values, offsets, np.multiply, spec.m)
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.int64, bool])
+def test_slot_reduce_blocks_take_the_slot_dtype(dtype):
+    p = 13
+    offsets = config_offsets(parse_progression_spec("m=3;P=y^2"), p)
+    slots = [np.ones(p, dtype=dtype)] * len(offsets)
+    ufunc = np.logical_and if dtype is bool else np.multiply
+    blocks = list(_slot_reduce(slots, offsets, ufunc, prefix=3))
+    assert [taken for _, taken, _ in blocks] == [3, 4]
+    assert all(acc.dtype == dtype and acc.shape == (p, p) for _, _, acc in blocks)
 
 
 def test_lambda_poly_and_ap_memory_is_one_block():
@@ -576,6 +614,16 @@ def test_find_progression_refuses_non_integer_residues(residues):
     with pytest.raises(UsageError, match="residues must be integers, got "):
         find_progression(residues, ProgressionSpec(3), p=5)
     assert find_progression(np.array([0, 1, 2]), ProgressionSpec(3), p=5) == (0, 1)
+
+
+def test_find_progression_charges_before_it_reads_the_residues():
+    # at p = 10^13 the residue mask alone would take 10^13 bytes, each offset array 8x that
+    set_budget(10**6)
+    try:
+        with pytest.raises(BudgetExceeded, match=r"\(x, y\) scan\(p=10000000000000, slots=3\)"):
+            find_progression([0, 1], ProgressionSpec(3), p=10**13)
+    finally:
+        set_budget(None)
 
 
 def test_find_progression_requires_nonzero_y():
@@ -639,7 +687,9 @@ def test_instance_masks_match_python_enumeration(p, text):
         offs = _slot_offsets(spec, y, p)
         for x in range(p):
             expected.add(sum(1 << pt for pt in {(x + o) % p for o in offs}))
-    assert _instance_masks(spec, p) == sorted(expected)
+    closing = _closing_masks(spec, p)
+    masks = [other | 1 << top for top, others in enumerate(closing) for other in others]
+    assert sorted(masks) == sorted(expected)
 
 
 def test_exact_max_free_set_examples():
@@ -648,6 +698,11 @@ def test_exact_max_free_set_examples():
     # golden value, frozen from the exhaustive 2^7 oracle
     size7, set7 = exact_max_free_set(make_field(7), ProgressionSpec(3))
     assert size7 == 3 and set7 == [0, 1, 3]
+
+
+def test_exact_search_cap_fits_int64_masks():
+    # the instance table packs point sets into int64 masks, 1 << x for x < p
+    assert counting.MAX_EXACT_P <= 62
 
 
 def test_exact_max_free_set_cap():

@@ -259,6 +259,15 @@ def test_weil_examples():
         weil_corollary_check(ctx13, 2, 0, ())  # no factors: modulus 1 against bound 0
 
 
+def test_weil_refuses_non_integer_points():
+    # truncated, 0.5 and 1.7 would read as the points 0 and 1
+    ctx = make_field(101)
+    with pytest.raises(UsageError, match="residues must be integers, got 0.5"):
+        weil_corollary_check(ctx, 2, 1, [0.5, 1.7])
+    as_ints = weil_corollary_check(ctx, 2, 1, (0, 1))
+    assert weil_corollary_check(ctx, 2, 1, np.array([0, 102], dtype=np.int64)) == as_ints
+
+
 @pytest.mark.parametrize("k", [0, -2])
 def test_weil_refuses_orders_below_one(k):
     # gcd would read k = 0 as order p - 1 and k = -2 as order 2

@@ -134,6 +134,18 @@ def test_gowers_budget():
         set_budget(None)
 
 
+def test_naive_fourier_is_metered():
+    # p^2 = 4 012 009 terms at p = 2003; the chirp route charges nothing and answers
+    f = constant(make_field(2003))
+    set_budget(1000)
+    try:
+        with pytest.raises(BudgetExceeded, match=r"fourier\(naive, p=2003\)"):
+            fourier(f, "naive")
+        assert abs(fourier(f, "fast")[0] - 1) < 1e-9
+    finally:
+        set_budget(None)
+
+
 def test_u2_fourier_identity():
     for p in (7, 11, 13):
         ctx = make_field(p)

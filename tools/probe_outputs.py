@@ -1,0 +1,148 @@
+#!/usr/bin/env python3
+"""Byte probe: one `sha256 argv` line per ffprog command, so two trees compare by `diff`.
+
+    python3 tools/probe_outputs.py > probe.txt
+
+Run it from the root of a source checkout: it imports ffprog from ./src and the
+benchmark's command lists from bench/run.py, and calls ffprog.cli.main in process for
+every command. Each line is the sha256 of json [argv, budget, exit code, stdout, stderr]
+followed by the command; budget is the FFPROG_BUDGET value the command ran under, or
+null for the default. Fixture files go to a temporary directory whose path is written
+as <tmp> in argv, stdout and stderr, so the lines of two trees match when their outputs
+do. The groups:
+
+- bench: the commands of the three benchmark workloads for seeds 0-10 (121);
+- search: `search --mode exact`, pretty and json, for 8 specs at every p in 0..41
+  (non-primes are refused, and so is p = 41, past the cap);
+- budget: FFPROG_BUDGET refusals, before any table and in the middle of a search;
+- other: the remaining subcommands, their refusals and a warning.
+
+A whole run takes about a minute on a 2-vCPU Xeon, most of it the p = 37 searches.
+"""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import os
+import shlex
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+EXACT_SPECS = (
+    "m=1", "m=3", "m=4", "m=40", "m=2;P=y^2", "m=2;P=-y^2+2y^3", "m=3;P=y^3,y^4", "m=3;P=y",
+)
+
+
+def load_bench():
+    """bench/run.py as a module; it puts ./src first on sys.path."""
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    bench.use_source_tree()
+    return bench
+
+
+def bench_commands(bench, tmp: Path):
+    for seed in bench.REFERENCE_SEEDS:
+        for workload in bench.WORKLOADS:
+            fixtures = None
+            if workload == "gowers":
+                (tmp / f"seed{seed}").mkdir()
+                fixtures = bench.write_fixtures(seed, tmp / f"seed{seed}")
+            for op in bench.build_ops(workload, seed, fixtures):
+                yield None, list(op.argv)
+
+
+def search_commands():
+    for spec in EXACT_SPECS:
+        for p in range(42):
+            for fmt in ("pretty", "json"):
+                yield None, ["search", "--spec", spec, "--p", str(p), "--mode", "exact",
+                             "--format", fmt]
+
+
+def budget_commands(bench, tmp: Path):
+    f101 = str(bench.write_fixtures(0, tmp)[bench.GOWERS_DIRECT_P])
+    m4 = ["search", "--spec", "m=4", "--p", "29", "--mode", "exact"]
+    yield "1000", ["discorrelate", "--spec", "m=3;P=y^3,y^4", "--primes", "101,211",
+                   "--trials", "2", "--format", "json"]
+    yield "1000", ["counterexample", "--p", "101", "--a", "1"]
+    yield "1000", ["lambda", "--spec", "m=3;P=y^2", "--fixtures", ",".join([f101] * 4)]
+    yield "1000", ["gowers", "--fixture", f101, "--s", "3", "--strategy", "direct"]
+    yield "1000", ["search", "--spec", "m=3", "--p", "31", "--mode", "exact"]
+    yield "1000", ["search", "--spec", "m=3", "--p", "401", "--mode", "greedy"]
+    for budget in ("1000", "5000", "100000", "300000"):
+        yield budget, m4
+    yield "not-a-number", m4
+
+
+def other_commands(bench, tmp: Path):
+    f101 = str(bench.write_fixtures(0, tmp)[bench.GOWERS_DIRECT_P])
+    f7 = tmp / "f7.json"
+    f7.write_text(json.dumps({"p": 7, "re": [0.6] * 7, "im": [0.8] * 7}))
+    yield None, ["lambda", "--spec", "m=3;P=7y^4+y^3", "--fixtures", ",".join([str(f7)] * 4)]
+    yield None, ["lambda", "--spec", "m=3;P=y", "--fixtures", ",".join([str(f7)] * 4)]
+    yield None, ["lambda", "--spec", "m=3", "--fixtures", str(tmp / "missing.json")]
+    yield None, ["gowers", "--fixture", f101, "--s", "2"]
+    yield None, ["gowers", "--fixture", f101, "--s", "99999999", "--strategy", "direct"]
+    yield None, ["counterexample", "--p", "101", "--a", "3"]
+    yield None, ["counterexample", "--p", "2", "--a", "1"]
+    yield None, ["weil", "--p", "101", "--k", "2", "--r", "1", "--points", "0,1"]
+    yield None, ["weil", "--p", "101", "--k", "2", "--r", "2", "--points", "0,0,1,1"]
+    yield None, ["chardecay", "--primes", "11,13,17", "--s", "2", "--k", "all", "--format", "csv"]
+    yield None, ["restricted-ap", "--primes", "11,13,17", "--k", "2", "--trials", "3"]
+    yield None, ["search", "--spec", "m=3;P=y^3,y^4", "--p", "101", "--mode", "greedy"]
+    yield None, ["search", "--spec", "m=3", "--p", "1000003", "--mode", "exact"]
+    yield None, ["search", "--spec", "m=3;P=y^", "--p", "11"]
+
+
+def run(cli, budget: str | None, argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of cli.main(argv) under FFPROG_BUDGET=budget."""
+    saved = os.environ.pop("FFPROG_BUDGET", None)
+    if budget is not None:
+        os.environ["FFPROG_BUDGET"] = budget
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    except Exception as exc:  # a traceback breaks the CLI contract; record it and go on
+        code = f"raised {type(exc).__name__}: {exc}"
+    finally:
+        os.environ.pop("FFPROG_BUDGET", None)
+        if saved is not None:
+            os.environ["FFPROG_BUDGET"] = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def main() -> int:
+    bench = load_bench()
+    from ffprog import cli
+
+    with tempfile.TemporaryDirectory() as tmp_name:
+        tmp = Path(tmp_name)
+        groups = {  # generators: each group's directory is made before its first command
+            "bench": bench_commands(bench, tmp / "bench"),
+            "search": search_commands(),
+            "budget": budget_commands(bench, tmp / "budget"),
+            "other": other_commands(bench, tmp / "other"),
+        }
+        for group, commands in groups.items():
+            (tmp / group).mkdir()
+            for budget, command in commands:
+                code, out, err = run(cli, budget, command)
+                record = [command, budget, code, out, err]
+                text = json.dumps(record).replace(tmp_name, "<tmp>")
+                digest = hashlib.sha256(text.encode()).hexdigest()
+                shown = shlex.join(command).replace(tmp_name, "<tmp>")
+                prefix = "" if budget is None else f"FFPROG_BUDGET={budget} "
+                print(f"{digest} {prefix}{shown}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
