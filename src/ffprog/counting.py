@@ -410,36 +410,61 @@ def _closing_masks(spec: ProgressionSpec, p: int) -> list[list[int]]:
     return closing
 
 
+def _forbid_table(closing) -> list[list[tuple[int, int]]]:
+    """forbids[a]: the instances of `closing` whose second-largest point is a, grouped by
+    the mask of their points below a, as (lower, tops) pairs; tops ORs their largest points.
+
+    The searches add elements in ascending order, so adding a to a set that holds lower
+    leaves each instance of the pair one point short, its largest: those become forbidden.
+    {0} must be free, so every instance has a second-largest point.
+    """
+    grouped: list[dict[int, int]] = [{} for _ in closing]
+    for top, others in enumerate(closing):
+        for other in others:
+            a = other.bit_length() - 1
+            lower = other & ~(1 << a)
+            grouped[a][lower] = grouped[a].get(lower, 0) | 1 << top
+    return [sorted(pairs.items()) for pairs in grouped]
+
+
 def _largest_free_set(
-    closing, bound, n: int, best_size: int, best_mask: int, meter=None, start=(1, 1, 1)
+    forbids, bound, n: int, best_size: int, best_mask: int, meter=None, held: int = 1
 ):
     """(size, mask) of the lexicographically smallest largest subset of {0..n-1} that holds
-    the root's elements and closes no instance of `closing`, if its size beats best_size;
-    else the best passed in.
+    0..held-1 and closes no instance of `forbids` (a _forbid_table), if its size beats
+    best_size; else the best passed in. {0..held-1} must be free.
 
-    The root start = (i, mask, size) has decided 0..i-1 and holds the elements of mask; the
-    default holds just 0. Depth-first over i..n-1 in ascending order, the include branch
-    popped first, so the first set of a size is the smallest. A node at element i can add
-    at most bound[n - i] of i..n-1, so it is cut when that cannot beat the best.
+    Depth-first over held..n-1 in ascending order, the include branch popped first, so the
+    first set of a size is the smallest. Each node carries forb, the elements that would
+    close an instance whose other points it holds; adding a ORs in the tops of forbids[a]
+    whose lower points it holds. A node at element i can add at most bound[n - i] of
+    i..n-1, and none of forb, so it is cut when either count cannot beat the best.
     meter(nodes) runs every 4096 nodes popped.
     """
-    stack = [start]
+    forb = 0
+    for pairs in forbids[:held]:  # a prefix {0..held-1} holds every lower mask below it
+        for _, tops in pairs:
+            forb |= tops
+    full = (1 << n) - 1
+    stack = [(held, (1 << held) - 1, held, forb)]
     nodes = 0
     while stack:
         nodes += 1
         if meter is not None and not nodes & 4095:
             meter(nodes)
-        i, current, size = stack.pop()
+        i, current, size, forb = stack.pop()
         if size > best_size:
             best_size, best_mask = size, current
-        if i == n or size + bound[n - i] <= best_size:
+        if size + bound[n - i] <= best_size:  # a leaf, i == n, is cut here: bound[0] = 0
             continue
-        stack.append((i + 1, current, size))
-        for other in closing[i]:
-            if other & current == other:
-                break
-        else:
-            stack.append((i + 1, current | 1 << i, size + 1))
+        if size + ((full & ~forb) >> i).bit_count() <= best_size:
+            continue
+        stack.append((i + 1, current, size, forb))
+        if not forb >> i & 1:
+            for lower, tops in forbids[i]:
+                if lower & current == lower:
+                    forb |= tops
+            stack.append((i + 1, current | 1 << i, size + 1, forb))
     return best_size, best_mask
 
 
@@ -449,18 +474,21 @@ def _largest_free_set(
 _EXACT_BOUND_LEN = 12
 
 
-def _interval_bounds(closing, top: int) -> list[int]:
+def _interval_bounds(closing, top: int, forbids=None) -> list[int]:
     """R[n] for n <= top: at least the size of the largest subset of {0..n-1} holding no
     instance that lies inside {0..n-1}; exact for n <= _EXACT_BOUND_LEN. {0} must be free.
+    forbids is _forbid_table(closing), built here when not passed.
 
     A set of R[n-1] + 1 elements must hold 0 and n-1, or a translate of it would fit in n-1
     places, so an exact R[n] is R[n-1] or R[n-1] + 1: one search from 0, cut by the R values
     already found, decides it. Past _EXACT_BOUND_LEN, R[n] = min_a R[a] + R[n-a].
     """
+    if forbids is None:
+        forbids = _forbid_table(closing)
     bound = [0, 1]
     for n in range(2, top + 1):
         if n <= _EXACT_BOUND_LEN:
-            bound.append(_largest_free_set(closing, bound, n, bound[-1], 0)[0])
+            bound.append(_largest_free_set(forbids, bound, n, bound[-1], 0)[0])
         else:
             bound.append(min(bound[a] + bound[n - a] for a in range(1, n // 2 + 1)))
     return bound
@@ -478,8 +506,14 @@ def exact_max_free_set(ctx: FieldCtx, spec: ProgressionSpec) -> tuple[int, list[
     best set so far, where R[n] bounds the largest subset of {0..n-1} holding no
     instance inside {0..n-1} (the classical interval bound for r_3(n)): the
     instances are closed under x -> x + t, so the set's part in {i..p-1},
-    shifted down by i, is such a subset. The cut drops only subtrees that
-    cannot beat the best, so the answer is the one an uncut search finds.
+    shifted down by i, is such a subset. Each node also carries a forbidden
+    mask, the elements that would close an instance whose other points it
+    holds; adding a can close only instances whose second-largest point is a,
+    so one table grouped by that point (_forbid_table) updates it. A node is
+    also cut unless its size plus the count of unforbidden elements in
+    {i..p-1} beats the best: a forbidden element can never be added. Both cuts
+    drop only subtrees that cannot beat the best, so the answer is the one an
+    uncut search finds.
     The budget is charged for the instance table, then again every 4096 DFS
     nodes for the table plus the nodes popped so far. The R table is built
     after the first charge and is not charged: its searches pop fewer than
@@ -496,10 +530,11 @@ def exact_max_free_set(ctx: FieldCtx, spec: ProgressionSpec) -> tuple[int, list[
     if closing[0]:
         # {0} already forbidden; by translation invariance so is every singleton
         return 0, []
-    bound = _interval_bounds(closing, p - 1)
-    start = (2, 0b11, 2) if not spec.polys and not closing[1] else (1, 1, 1)
+    forbids = _forbid_table(closing)
+    bound = _interval_bounds(closing, p - 1, forbids)
+    held = 2 if not spec.polys and not closing[1] else 1
     size, mask = _largest_free_set(
-        closing, bound, p, 1, 1, lambda nodes: charge(table + nodes, what), start
+        forbids, bound, p, 1, 1, lambda nodes: charge(table + nodes, what), held
     )
     return size, [e for e in range(p) if mask >> e & 1]
 

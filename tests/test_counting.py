@@ -34,6 +34,7 @@ from ffprog import (
 from ffprog import counting
 from ffprog.counting import (
     _closing_masks,
+    _forbid_table,
     _interval_bounds,
     _largest_free_set,
     _slot_reduce,
@@ -692,6 +693,21 @@ def test_instance_masks_match_python_enumeration(p, text):
     assert sorted(masks) == sorted(expected)
 
 
+@pytest.mark.parametrize("text", ["m=2", "m=3", "m=4", "m=3;P=y^3,y^4", "m=2;P=-y^2+2y^3"])
+@pytest.mark.parametrize("p", [5, 11, 31])
+def test_forbid_table_rebuilds_the_instances(p, text):
+    closing = _closing_masks(parse_progression_spec(text), p)
+    expected = sorted(other | 1 << top for top, others in enumerate(closing) for other in others)
+    rebuilt = [
+        lower | 1 << a | 1 << top
+        for a, pairs in enumerate(_forbid_table(closing))
+        for lower, tops in pairs
+        for top in range(p)
+        if tops >> top & 1
+    ]
+    assert sorted(rebuilt) == expected
+
+
 def test_exact_max_free_set_examples():
     assert exact_max_free_set(make_field(5), ProgressionSpec(3))[0] == 2
     assert exact_max_free_set(make_field(3), ProgressionSpec(3))[0] == 2
@@ -711,17 +727,19 @@ def test_exact_max_free_set_cap():
 
 
 def test_exact_max_free_set_meters_its_search():
-    # the instance table costs 29 * 28 * 4 = 3248 terms; the ~323 000 DFS nodes are charged
+    # the instance table costs 31 * 30 * 5 = 4650 terms; the ~478 000 DFS nodes are charged
     # as they are popped, every 4096, so a budget of 10^5 stops the search at the first
     # multiple of 4096 nodes past it, whatever the shape of the tree
     set_budget(10**5)
     try:
         with pytest.raises(BudgetExceeded) as refused:
-            exact_max_free_set(make_field(29), ProgressionSpec(4))
+            exact_max_free_set(make_field(31), ProgressionSpec(5))
+        # m=4 at p = 29 pops 65 945 nodes: 3248 + 16 * 4096 = 68 784 terms at its last charge
+        assert exact_max_free_set(make_field(29), ProgressionSpec(4))[0] == 11
     finally:
         set_budget(None)
     assert str(refused.value) == (
-        "exact_max_free_set(p=29) needs ~101552 elementary terms, budget is 100000"
+        "exact_max_free_set(p=31) needs ~102954 elementary terms, budget is 100000"
     )
 
 
@@ -745,6 +763,38 @@ def test_exact_max_free_set_matches_bruteforce():
 def test_exact_max_free_set_matches_bruteforce_at_13(text):
     spec = parse_progression_spec(text)
     assert exact_max_free_set(make_field(13), spec) == _smallest_max_free_set(spec, 13)
+
+
+def _scanning_search(spec, p):
+    """The free-set search with neither the interval bound nor the forbidden mask: depth
+    first from {0}, include first, each candidate tested against its closing list, a node
+    cut only when taking every element left could not beat the best (m=40 at p = 23 would
+    otherwise pop all 2^23 subsets)."""
+    closing = _closing_masks(spec, p)
+    if closing[0]:
+        return 0, []
+    best_size, best_mask = 1, 1
+    stack = [(1, 1, 1)]
+    while stack:
+        i, current, size = stack.pop()
+        if size > best_size:
+            best_size, best_mask = size, current
+        if size + p - i <= best_size:
+            continue
+        stack.append((i + 1, current, size))
+        if all(other & current != other for other in closing[i]):
+            stack.append((i + 1, current | 1 << i, size + 1))
+    return best_size, [e for e in range(p) if best_mask >> e & 1]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["m=2", "m=3", "m=4", "m=40", "m=2;P=y^2", "m=3;P=y^3,y^4", "m=3;P=2y^3", "m=2;P=-y^2+2y^3"],
+)
+def test_exact_max_free_set_matches_scanning_search(text):
+    spec = parse_progression_spec(text)
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        assert exact_max_free_set(make_field(p), spec) == _scanning_search(spec, p), p
 
 
 def _largest_free_interval_subset(spec, p, n):
@@ -791,8 +841,9 @@ def test_exact_max_free_set_edge_specs():
 def _unpinned_search(spec, p):
     """exact_max_free_set's search from {0} alone, the root it takes when it cannot pin 1."""
     closing = _closing_masks(spec, p)
+    forbids = _forbid_table(closing)
     size, mask = _largest_free_set(
-        closing, _interval_bounds(closing, p - 1), p, 1, 1, start=(1, 1, 1)
+        forbids, _interval_bounds(closing, p - 1, forbids), p, 1, 1, held=1
     )
     return size, [e for e in range(p) if mask >> e & 1]
 
@@ -821,12 +872,13 @@ def test_unpinnable_specs_answer_as_before():
 
 
 def test_pinned_search_meters_few_nodes(monkeypatch):
-    # one charge for the instance table, then one per 4096 DFS nodes: the search from
-    # {0, 1} pops 15 524 nodes for m=3 at p = 31, the one from {0} alone 66 419 (16 charges)
+    # exact_max_free_set and the (x, y) scan that builds its instance table each charge
+    # 31 * 30 * 3 terms, then one charge comes due per 4096 DFS nodes: the search from
+    # {0, 1} pops 2314 nodes for m=3 at p = 31 (none due), the one from {0} alone 10 974
     charged = []
     monkeypatch.setattr(counting, "charge", lambda terms, what: charged.append(terms))
     assert exact_max_free_set(make_field(31), ProgressionSpec(3))[0] == 8
-    assert len(charged) - 1 <= 4
+    assert charged == [2790, 2790]
 
 
 def test_exact_max_free_set_golden_p37():

@@ -78,6 +78,7 @@ def budget_commands(bench, tmp: Path):
     yield "1000", ["search", "--spec", "m=3", "--p", "401", "--mode", "greedy"]
     for budget in ("1000", "5000", "100000", "300000"):
         yield budget, m4
+    yield "100000", ["search", "--spec", "m=5", "--p", "31", "--mode", "exact"]  # mid-search
     yield "not-a-number", m4
 
 
