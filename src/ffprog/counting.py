@@ -427,34 +427,26 @@ def _forbid_table(closing) -> list[list[tuple[int, int]]]:
     return [sorted(pairs.items()) for pairs in grouped]
 
 
-def _largest_free_set(
-    forbids, bound, n: int, best_size: int, best_mask: int, meter=None, held: int = 1
-):
-    """(size, mask) of the lexicographically smallest largest subset of {0..n-1} that holds
-    0..held-1 and closes no instance of `forbids` (a _forbid_table), if its size beats
-    best_size; else the best passed in. {0..held-1} must be free.
+def _largest_free_set(forbids, bound, n: int, best_size: int, meter=None, nodes: int = 0) -> int:
+    """Mask of the first subset of {0..n-1} that holds 0, closes no instance of `forbids` (a
+    _forbid_table) and has more than best_size elements; 0 if none has. {0} must be free.
 
-    Depth-first over held..n-1 in ascending order, the include branch popped first, so the
-    first set of a size is the smallest. Each node carries forb, the elements that would
-    close an instance whose other points it holds; adding a ORs in the tops of forbids[a]
-    whose lower points it holds. A node at element i can add at most bound[n - i] of
-    i..n-1, and none of forb, so it is cut when either count cannot beat the best.
-    meter(nodes) runs every 4096 nodes popped.
+    Depth-first over 1..n-1 in ascending order, the include branch popped first, so the
+    first set of a size is the lexicographically smallest. Each node carries forb, the
+    elements that would close an instance whose other points it holds; adding a ORs in the
+    tops of forbids[a] whose lower points it holds. A node at element i can add at most
+    bound[n - i] of i..n-1, and none of forb, so it is cut when either count cannot beat
+    best_size. meter(nodes) runs every 4096 nodes popped, counted on from `nodes`.
     """
-    forb = 0
-    for pairs in forbids[:held]:  # a prefix {0..held-1} holds every lower mask below it
-        for _, tops in pairs:
-            forb |= tops
     full = (1 << n) - 1
-    stack = [(held, (1 << held) - 1, held, forb)]
-    nodes = 0
+    stack = [(1, 1, 1, sum(tops for _, tops in forbids[0]))]  # nothing lies below 0
     while stack:
         nodes += 1
         if meter is not None and not nodes & 4095:
             meter(nodes)
         i, current, size, forb = stack.pop()
         if size > best_size:
-            best_size, best_mask = size, current
+            return current
         if size + bound[n - i] <= best_size:  # a leaf, i == n, is cut here: bound[0] = 0
             continue
         if size + ((full & ~forb) >> i).bit_count() <= best_size:
@@ -465,7 +457,36 @@ def _largest_free_set(
                 if lower & current == lower:
                     forb |= tops
             stack.append((i + 1, current | 1 << i, size + 1, forb))
-    return best_size, best_mask
+    return 0
+
+
+def _largest_free_size(forbids, bound, p: int, meter) -> tuple[int, int]:
+    """(size of the largest free subset of F_p, nodes popped). {0} must be free.
+
+    _largest_free_set's search over only the sets whose wrap gap p - max is at least each
+    inner gap. A node carries hi = min(p - 1, p - G), G its largest inner gap: it adds i
+    only when i <= hi and the new gap i - last is at most p - i, and its cuts count [i, hi].
+    """
+    best, nodes = 1, 0
+    stack = [(1, 1, 1, sum(tops for _, tops in forbids[0]), p - 1)]
+    while stack:
+        nodes += 1
+        if not nodes & 4095:
+            meter(nodes)
+        i, current, size, forb, hi = stack.pop()
+        if size > best:
+            best = size
+        if size + bound[hi + 1 - i] <= best:  # i == hi + 1 is cut here: bound[0] = 0
+            continue
+        if size + (~forb >> i & (1 << hi + 1 - i) - 1).bit_count() <= best:
+            continue
+        stack.append((i + 1, current, size, forb, hi))
+        if not forb >> i & 1 and (gap := i - current.bit_length() + 1) <= p - i:
+            for lower, tops in forbids[i]:
+                if lower & current == lower:
+                    forb |= tops
+            stack.append((i + 1, current | 1 << i, size + 1, forb, min(hi, p - gap)))
+    return best, nodes
 
 
 # Interval lengths up to which _interval_bounds searches R[n] exactly; longer ones take the
@@ -488,7 +509,7 @@ def _interval_bounds(closing, top: int, forbids=None) -> list[int]:
     bound = [0, 1]
     for n in range(2, top + 1):
         if n <= _EXACT_BOUND_LEN:
-            bound.append(_largest_free_set(forbids, bound, n, bound[-1], 0)[0])
+            bound.append(bound[-1] + (_largest_free_set(forbids, bound, n, bound[-1]) > 0))
         else:
             bound.append(min(bound[a] + bound[n - a] for a in range(1, n // 2 + 1)))
     return bound
@@ -497,27 +518,24 @@ def _interval_bounds(closing, top: int, forbids=None) -> list[int]:
 def exact_max_free_set(ctx: FieldCtx, spec: ProgressionSpec) -> tuple[int, list[int]]:
     """Maximum subset of F_p containing no configuration instance with y != 0.
 
-    Branch and bound over elements in ascending order; translation symmetry
-    pins 0 into the set. Returns the lexicographically smallest maximum set.
-    With no polynomial slots the instances are also closed under x -> a*x
-    (a != 0), so when {0, 1} is free some maximum set holds 0 and 1, and so
-    does the smallest: the search starts from {0, 1}.
-    A node that has decided 0..i-1 is cut unless its size plus R[p-i] beats the
-    best set so far, where R[n] bounds the largest subset of {0..n-1} holding no
-    instance inside {0..n-1} (the classical interval bound for r_3(n)): the
-    instances are closed under x -> x + t, so the set's part in {i..p-1},
-    shifted down by i, is such a subset. Each node also carries a forbidden
-    mask, the elements that would close an instance whose other points it
-    holds; adding a can close only instances whose second-largest point is a,
-    so one table grouped by that point (_forbid_table) updates it. A node is
-    also cut unless its size plus the count of unforbidden elements in
-    {i..p-1} beats the best: a forbidden element can never be added. Both cuts
-    drop only subtrees that cannot beat the best, so the answer is the one an
-    uncut search finds.
-    The budget is charged for the instance table, then again every 4096 DFS
-    nodes for the table plus the nodes popped so far. The R table is built
-    after the first charge and is not charged: its searches pop fewer than
-    2^13 nodes in all. p is refused past MAX_EXACT_P.
+    Returns the lexicographically smallest maximum set, from two depth-first searches over
+    the elements in ascending order. The instances are closed under x -> x + t, so every
+    free set has a translate that holds 0 and whose wrap gap p - max is at least each of
+    its inner gaps (rotate 0 to follow a largest gap). The proof (_largest_free_size)
+    searches only such sets, for the largest size s. The find (_largest_free_set) searches
+    every set holding 0 and returns the first that beats s - 1: the first set of size s in
+    include-first order, which is the smallest. Both cut a node at element i unless its
+    size plus R[n] beats the best, where i..i+n-1 are the elements it may still add and
+    R[n] bounds the largest subset of {0..n-1} holding no instance inside {0..n-1} (the
+    classical interval bound for r_3(n)); and unless its size plus the count of those
+    elements outside its forbidden mask beats the best. That mask holds the elements that
+    would close an instance whose other points the node holds; adding a can close only
+    instances whose second-largest point is a, so one table grouped by that point
+    (_forbid_table) updates it. The cuts drop only subtrees that cannot beat the best.
+    The budget is charged for the instance table, then again every 4096 nodes of the two
+    searches together for the table plus the nodes popped so far. The R table is built
+    after the first charge and is not charged: its searches, which also stop at the first
+    set that beats R[n-1], pop fewer than 2^13 nodes in all. p is refused past MAX_EXACT_P.
     """
     require_valid(spec)
     p = ctx.p
@@ -532,10 +550,8 @@ def exact_max_free_set(ctx: FieldCtx, spec: ProgressionSpec) -> tuple[int, list[
         return 0, []
     forbids = _forbid_table(closing)
     bound = _interval_bounds(closing, p - 1, forbids)
-    held = 2 if not spec.polys and not closing[1] else 1
-    size, mask = _largest_free_set(
-        forbids, bound, p, 1, 1, lambda nodes: charge(table + nodes, what), held
-    )
+    size, nodes = _largest_free_size(forbids, bound, p, lambda nodes: charge(table + nodes, what))
+    mask = _largest_free_set(forbids, bound, p, size - 1, lambda n: charge(table + n, what), nodes)
     return size, [e for e in range(p) if mask >> e & 1]
 
 

@@ -381,20 +381,27 @@ def greedy_free_set(ctx: FieldCtx, spec: ProgressionSpec, seed: int) -> tuple[li
     require_valid(spec)
     p = ctx.p
     n = spec.total_points
-    charge(p * n * n * (p - 1), f"greedy_free_set(p={p})")  # the gathers through rel, below
+    charge(p * n * n * (p - 1), f"greedy_free_set(p={p})")  # bounds the gathers through rel
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(p, 0x67EE))
     rng = np.random.Generator(np.random.Philox(ss))
     order = rng.permutation(p)
-    # bits stays progression-free, so an instance in bits + {e} has e in some slot j:
-    # rel[j][i][y] is where slot i sits, relative to e, when slot j is at e (y != 0).
+    # column (j, y) of rel: where each slot sits, relative to e, when slot j is at e (y != 0),
+    # sorted, with each repeated point moved to 0, so the slots it misses are distinct points
     offsets = np.stack(config_offsets(spec, p))[:, 1:]
-    rel = (offsets[None, :, :] - offsets[:, None, :]) % p
-    # twice holds bits twice over, so rel + e (< 2p) indexes it with no % p per candidate
-    twice = np.zeros(2 * p, dtype=bool)
+    rel = np.sort((offsets[:, None] - offsets[None]) % p, axis=0).reshape(n, -1)
+    rel[1:][rel[1:] == rel[:-1]] = 0
+    # forb[c]: bits + {c} would hold an instance. Accepting e forbids the point that an
+    # instance through e lacks when it lacks one (then the sum of its missing points); a y
+    # that puts every slot at x makes each {x} an instance, and then every c is forbidden
+    forb = np.full(p, (offsets == 0).all(axis=0).any())
+    twice = np.zeros(2 * p, dtype=bool)  # bits twice over, so rel + e (< 2p) needs no % p
     for e in order:
+        if forb[e]:
+            continue
         twice[e] = twice[e + p] = True
-        if twice[rel + e].all(axis=1).any():
-            twice[e] = twice[e + p] = False
+        points = rel + e
+        miss = ~twice[points]
+        forb[(points * miss).sum(axis=0)[miss.sum(axis=0) == 1] % p] = True
     bits = twice[:p]
     witness = find_progression(bits, spec)
     if witness is not None:

@@ -36,7 +36,7 @@ from ffprog.counting import (
     _closing_masks,
     _forbid_table,
     _interval_bounds,
-    _largest_free_set,
+    _largest_free_size,
     _slot_reduce,
     config_offsets,
     lambda_ap_weighted,
@@ -727,14 +727,14 @@ def test_exact_max_free_set_cap():
 
 
 def test_exact_max_free_set_meters_its_search():
-    # the instance table costs 31 * 30 * 5 = 4650 terms; the ~478 000 DFS nodes are charged
+    # the instance table costs 31 * 30 * 5 = 4650 terms; the ~190 000 DFS nodes are charged
     # as they are popped, every 4096, so a budget of 10^5 stops the search at the first
     # multiple of 4096 nodes past it, whatever the shape of the tree
     set_budget(10**5)
     try:
         with pytest.raises(BudgetExceeded) as refused:
             exact_max_free_set(make_field(31), ProgressionSpec(5))
-        # m=4 at p = 29 pops 65 945 nodes: 3248 + 16 * 4096 = 68 784 terms at its last charge
+        # m=4 at p = 29 pops 38 056 + 19 nodes: 3248 + 9 * 4096 = 40 112 terms at its last charge
         assert exact_max_free_set(make_field(29), ProgressionSpec(4))[0] == 11
     finally:
         set_budget(None)
@@ -838,43 +838,40 @@ def test_exact_max_free_set_edge_specs():
     assert exact_max_free_set(make_field(31), ProgressionSpec(1)) == (0, [])
 
 
-def _unpinned_search(spec, p):
-    """exact_max_free_set's search from {0} alone, the root it takes when it cannot pin 1."""
-    closing = _closing_masks(spec, p)
-    forbids = _forbid_table(closing)
-    size, mask = _largest_free_set(
-        forbids, _interval_bounds(closing, p - 1, forbids), p, 1, 1, held=1
-    )
-    return size, [e for e in range(p) if mask >> e & 1]
-
-
-@pytest.mark.parametrize("m", [3, 4, 5, 40])
-def test_pinned_search_matches_unpinned(m):
-    spec = ProgressionSpec(m)
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-        if p > 23 and m != 3:
+@pytest.mark.parametrize(
+    "text",
+    ["m=2", "m=3", "m=4", "m=40", "m=2;P=y^2", "m=3;P=y^3,y^4", "m=3;P=2y^3", "m=2;P=-y^2+2y^3"],
+)
+def test_rotation_proof_size_matches_scanning_search(text):
+    # the proof phase alone, which searches only the sets whose wrap gap is their largest
+    spec = parse_progression_spec(text)
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        closing = _closing_masks(spec, p)
+        expected = _scanning_search(spec, p)[0]
+        if closing[0]:
+            assert expected == 0, p
             continue
-        assert exact_max_free_set(make_field(p), spec) == _unpinned_search(spec, p), p
+        forbids = _forbid_table(closing)
+        bound = _interval_bounds(closing, p - 1, forbids)
+        assert _largest_free_size(forbids, bound, p, lambda nodes: None)[0] == expected, p
 
 
-def test_unpinnable_specs_answer_as_before():
-    # {0, 1} is an instance of m=2 at every p and of m=3 at p = 2, and a spec with a
-    # polynomial slot is not closed under x -> a*x: these searches start from {0}
+def test_exact_max_free_set_small_and_polynomial_specs():
+    # {0, 1} is an instance of m=2 at every p and of m=3 at p = 2
     for p in (3, 7, 31):
         assert exact_max_free_set(make_field(p), ProgressionSpec(2)) == (1, [0])
     assert exact_max_free_set(make_field(2), ProgressionSpec(3)) == (1, [0])
     spec = parse_progression_spec("m=2;P=y^2")
     assert exact_max_free_set(make_field(31), spec) == (7, [0, 2, 5, 7, 12, 17, 22])
-    # {0, 1} is free here, but no largest set holds both 0 and 1: the search from {0, 1}
-    # would stop at 4 elements
+    # {0, 1} is free here, but no largest set holds both 0 and 1
     spec = parse_progression_spec("m=3;P=2y^3")
     assert exact_max_free_set(make_field(11), spec) == (5, [0, 2, 4, 6, 8])
 
 
-def test_pinned_search_meters_few_nodes(monkeypatch):
+def test_exact_max_free_set_meters_few_nodes(monkeypatch):
     # exact_max_free_set and the (x, y) scan that builds its instance table each charge
-    # 31 * 30 * 3 terms, then one charge comes due per 4096 DFS nodes: the search from
-    # {0, 1} pops 2314 nodes for m=3 at p = 31 (none due), the one from {0} alone 10 974
+    # 31 * 30 * 3 terms, then one charge comes due per 4096 nodes of both phases together:
+    # for m=3 at p = 31 the proof pops 2625 nodes and the find 14 (none due)
     charged = []
     monkeypatch.setattr(counting, "charge", lambda terms, what: charged.append(terms))
     assert exact_max_free_set(make_field(31), ProgressionSpec(3))[0] == 8

@@ -377,11 +377,12 @@ def _completes_instance(spec, p, members, e):
 
 
 @pytest.mark.parametrize(
-    "text", ["m=3", "m=4", "m=1;P=y^3", "m=2;P=-y^2+2y^3", "m=3;P=y^3,y^4"]
+    "text", ["m=3", "m=4", "m=1;P=y^3", "m=2;P=-y^2+2y^3", "m=3;P=y^3,y^4", "m=1", "m=2", "m=40"]
 )
 def test_greedy_free_set_matches_full_rescan(text):
     spec = parse_progression_spec(text)
-    for p in (11, 13, 29, 101):
+    # at small p, every {x} is an m=1 instance, every pair an m=2 one and F_p an m=40 one
+    for p in (2, 3, 5, 7) if text in ("m=1", "m=2", "m=40") else (11, 13, 29, 101):
         ctx = make_field(p)
         for seed in range(4):
             elements, _ = greedy_free_set(ctx, spec, seed)
