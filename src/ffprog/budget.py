@@ -27,7 +27,9 @@ def set_budget(value: int | None) -> None:
 def get_budget() -> int:
     if _override is not None:
         return _override
-    raw = os.environ.get(ENV_VAR, str(DEFAULT_BUDGET))
+    raw = os.environ.get(ENV_VAR)
+    if raw is None:  # the common case, kept cheap: searches charge as they go
+        return DEFAULT_BUDGET
     with contextlib.suppress(ValueError):
         if int(raw) > 0:
             return int(raw)

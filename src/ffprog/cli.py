@@ -55,80 +55,85 @@ def _order(text: str) -> int | str:
     return text if text == "all" else _positive_int(text)
 
 
-def build_parser() -> _Parser:
+def build_parser(name: str | None = None) -> _Parser:
+    """The ffprog parser. When `name` is a subcommand, only its subparser is built, since
+    building all eight is most of a short command's fixed cost. It parses a line that starts
+    with `name`, prints its help and raises its errors as the full parser does, because the
+    top level has no option but -h. Any other `name` gets the full parser."""
     parser = _Parser(prog="ffprog", description=__doc__)
     parser.set_defaults(format="pretty", output=None)  # for subcommands without these flags
     sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    def add(sub_name: str, run, help: str) -> _Parser | None:
+        if name not in (None, sub_name):
+            return None
+        sp = sub.add_parser(sub_name, help=help)
+        sp.set_defaults(run=run)
+        return sp
 
     def common_output(sp, formats=("json", "csv", "pretty")):
         sp.add_argument("--format", choices=formats, default="pretty")
         sp.add_argument("--output", default=None, help="write report here instead of stdout")
 
-    sp = sub.add_parser("gowers", help="U^s norm of a fixture function")
-    sp.set_defaults(run=_cmd_gowers)
-    sp.add_argument("--fixture", required=True, help='JSON file {"p":int,"re":[..],"im":[..]}')
-    sp.add_argument("--s", type=int, default=2)
-    sp.add_argument("--strategy", choices=("direct", "fast"), default="fast")
+    if sp := add("gowers", _cmd_gowers, "U^s norm of a fixture function"):
+        sp.add_argument("--fixture", required=True, help='JSON file {"p":int,"re":[..],"im":[..]}')
+        sp.add_argument("--s", type=int, default=2)
+        sp.add_argument("--strategy", choices=("direct", "fast"), default="fast")
 
-    sp = sub.add_parser("lambda", help="counting operator on fixture functions")
-    sp.set_defaults(run=_cmd_lambda)
-    sp.add_argument("--spec", required=True)
-    sp.add_argument(
-        "--fixtures", type=_path_list, required=True, help="comma-separated fixture paths"
-    )
+    if sp := add("lambda", _cmd_lambda, "counting operator on fixture functions"):
+        sp.add_argument("--spec", required=True)
+        sp.add_argument(
+            "--fixtures", type=_path_list, required=True, help="comma-separated fixture paths"
+        )
 
-    sp = sub.add_parser("discorrelate", help="discorrelation error sweep over a prime ladder")
-    sp.set_defaults(run=_cmd_discorrelate)
-    sp.add_argument("--spec", required=True)
-    sp.add_argument("--primes", type=_int_list, required=True)
-    families = sorted(kind.replace("_", "-") for kind in experiments.FAMILY_KINDS)
-    sp.add_argument("--family", choices=families, default="random-unimodular")
-    sp.add_argument("--density", type=float, default=0.5)
-    sp.add_argument("--a", type=int, default=None)
-    sp.add_argument("--trials", type=_positive_int, default=20)
-    sp.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-    common_output(sp)
+    if sp := add(
+        "discorrelate", _cmd_discorrelate, "discorrelation error sweep over a prime ladder"
+    ):
+        sp.add_argument("--spec", required=True)
+        sp.add_argument("--primes", type=_int_list, required=True)
+        families = sorted(kind.replace("_", "-") for kind in experiments.FAMILY_KINDS)
+        sp.add_argument("--family", choices=families, default="random-unimodular")
+        sp.add_argument("--density", type=float, default=0.5)
+        sp.add_argument("--a", type=int, default=None)
+        sp.add_argument("--trials", type=_positive_int, default=20)
+        sp.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+        common_output(sp)
 
-    sp = sub.add_parser("counterexample", help="degree-condition failure demo")
-    sp.set_defaults(run=_cmd_counterexample)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--a", type=int, required=True)
+    if sp := add("counterexample", _cmd_counterexample, "degree-condition failure demo"):
+        sp.add_argument("--p", type=int, required=True)
+        sp.add_argument("--a", type=int, required=True)
 
-    sp = sub.add_parser("chardecay", help="Gowers norms of multiplicative characters")
-    sp.set_defaults(run=_cmd_chardecay)
-    sp.add_argument("--primes", type=_int_list, required=True)
-    sp.add_argument("--s", type=int, default=2)
-    sp.add_argument(
-        "--k", type=_order, default="all", help="character order, or 'all' for every divisor"
-    )
-    common_output(sp)
+    if sp := add("chardecay", _cmd_chardecay, "Gowers norms of multiplicative characters"):
+        sp.add_argument("--primes", type=_int_list, required=True)
+        sp.add_argument("--s", type=int, default=2)
+        sp.add_argument(
+            "--k", type=_order, default="all", help="character order, or 'all' for every divisor"
+        )
+        common_output(sp)
 
-    sp = sub.add_parser("weil", help="character sum against the 2r/sqrt(p) bound")
-    sp.set_defaults(run=_cmd_weil)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--k", type=_positive_int, required=True)
-    sp.add_argument("--r", type=_positive_int, required=True)
-    sp.add_argument("--points", type=_int_list, required=True, help="comma-separated b_1..b_2r")
+    if sp := add("weil", _cmd_weil, "character sum against the 2r/sqrt(p) bound"):
+        sp.add_argument("--p", type=int, required=True)
+        sp.add_argument("--k", type=_positive_int, required=True)
+        sp.add_argument("--r", type=_positive_int, required=True)
+        sp.add_argument("--points", type=_int_list, required=True, help="comma-separated b_1..b_2r")
 
-    sp = sub.add_parser("restricted-ap", help="APs with k-th power differences sweep")
-    sp.set_defaults(run=_cmd_restricted_ap)
-    sp.add_argument("--primes", type=_int_list, required=True)
-    sp.add_argument("--m", type=_positive_int, default=3)
-    sp.add_argument("--k", type=_positive_int, required=True)
-    sp.add_argument("--density", type=float, default=0.5)
-    sp.add_argument("--trials", type=_positive_int, default=20)
-    sp.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-    common_output(sp)
+    if sp := add("restricted-ap", _cmd_restricted_ap, "APs with k-th power differences sweep"):
+        sp.add_argument("--primes", type=_int_list, required=True)
+        sp.add_argument("--m", type=_positive_int, default=3)
+        sp.add_argument("--k", type=_positive_int, required=True)
+        sp.add_argument("--density", type=float, default=0.5)
+        sp.add_argument("--trials", type=_positive_int, default=20)
+        sp.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+        common_output(sp)
 
-    sp = sub.add_parser("search", help="progression-free set search")
-    sp.set_defaults(run=_cmd_search)
-    sp.add_argument("--spec", required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--mode", choices=("exact", "greedy"), default="exact")
-    sp.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-    common_output(sp, ("json", "pretty"))
+    if sp := add("search", _cmd_search, "progression-free set search"):
+        sp.add_argument("--spec", required=True)
+        sp.add_argument("--p", type=int, required=True)
+        sp.add_argument("--mode", choices=("exact", "greedy"), default="exact")
+        sp.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+        common_output(sp, ("json", "pretty"))
 
-    return parser
+    return parser if sub.choices else build_parser()
 
 
 def _write(output: str | SweepReport, args: argparse.Namespace) -> None:
@@ -226,7 +231,8 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():  # one stderr line per warning, without a source location
         warnings.showwarning = _print_warning
         try:
-            args = build_parser().parse_args(argv)
+            argv = sys.argv[1:] if argv is None else argv
+            args = build_parser(argv[0] if argv else None).parse_args(argv)
             try:
                 output = args.run(args)
             except BoundViolation as exc:  # the output built before the failed check still goes out

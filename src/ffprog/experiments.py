@@ -377,11 +377,18 @@ def restricted_ap_experiment(
 
 
 def greedy_free_set(ctx: FieldCtx, spec: ProgressionSpec, seed: int) -> tuple[list[int], float]:
-    """Randomized greedy progression-free set; deterministic for a fixed seed."""
+    """Randomized greedy progression-free set; deterministic for a fixed seed.
+
+    The budget is charged for rel and the closing find_progression scan before any table
+    is built, then again at each accepted element, which gathers as many positions as rel has.
+    """
     require_valid(spec)
     p = ctx.p
     n = spec.total_points
-    charge(p * n * n * (p - 1), f"greedy_free_set(p={p})")  # bounds the gathers through rel
+    what = f"greedy_free_set(p={p})"
+    gather = n * n * (p - 1)  # positions in rel: built once, then gathered on each accept
+    terms = gather + (p - 1) * p * n  # rel, and the closing find_progression scan
+    charge(terms, what)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(p, 0x67EE))
     rng = np.random.Generator(np.random.Philox(ss))
     order = rng.permutation(p)
@@ -398,6 +405,8 @@ def greedy_free_set(ctx: FieldCtx, spec: ProgressionSpec, seed: int) -> tuple[li
     for e in order:
         if forb[e]:
             continue
+        terms += gather
+        charge(terms, what)
         twice[e] = twice[e + p] = True
         points = rel + e
         miss = ~twice[points]

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import tracemalloc
@@ -15,6 +16,7 @@ from ffprog import (
     IntPolynomial,
     ParseError,
     ProgressionSpec,
+    UsageError,
     constant,
     make_field,
     set_budget,
@@ -618,6 +620,55 @@ def test_failed_stdout_write_is_io_failure(command, tmp_path):
     lines = err.getvalue().splitlines()
     assert len(lines) == 1
     assert lines[0] == "error: IoFailure: cannot write report: [Errno 28] No space left on device"
+
+
+def _parsed(parser, argv, capsys):
+    """What parser makes of argv: a Namespace, (exit code, stdout) of --help, or an error."""
+    try:
+        return parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr().out
+    except UsageError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_one_subparser_parses_as_the_full_parser(command, capsys):
+    argv = COMMANDS[command]
+    lines = {
+        "valid": (argv, argparse.Namespace),
+        "help": ([command, "--help"], tuple),
+        "missing-flag": (argv[:1] + argv[3:], str),  # each line's first flag is required
+        "unknown-flag": ([*argv, "--bogus"], str),
+        "extra-token": ([*argv, "extra"], str),
+    }
+    for what, (line, kind) in lines.items():
+        full = _parsed(build_parser(), line, capsys)
+        assert isinstance(full, kind), what
+        assert _parsed(build_parser(command), line, capsys) == full, what
+    assert f" {{{command}}} ...\n" in build_parser(command).format_usage()
+
+
+NAMES = ", ".join(f"'{name}'" for name in COMMANDS)  # in the parser's order
+TOP_LEVEL = {
+    "empty": ([], 1, "", "the following arguments are required: subcommand"),
+    "help": (["-h"], 0, "{gowers,lambda,discorrelate,counterexample,chardecay,weil,", ""),
+    "unknown": (["frobnicate"], 1, "", f"invalid choice: 'frobnicate' (choose from {NAMES})"),
+    "double-dash": (
+        ["--", "search", "--spec", "m=3", "--p", "7"],
+        1,
+        "",
+        f"invalid choice: '--' (choose from {NAMES})",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, code, out, err", TOP_LEVEL.values(), ids=TOP_LEVEL.keys())
+def test_lines_without_a_subcommand_get_the_full_parser(argv, code, out, err, capsys):
+    full = _parsed(build_parser(), argv, capsys)
+    expected = (code, full[1], "") if code == 0 else (code, "", f"error: UsageError: {full}\n")
+    assert (main(argv), *capsys.readouterr()) == expected
+    assert out in expected[1] and err in expected[2]
 
 
 PARTIAL = SweepReport(spec="partial", rows=[SweepRow(11, "U2[k=2] norm", 0.5, 1, 0)])

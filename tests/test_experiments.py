@@ -436,6 +436,30 @@ def test_free_set_searches_charge_before_building_tables(name, search, monkeypat
         search(make_field(7), ProgressionSpec(99_999_999_999))
 
 
+def test_greedy_free_set_charges_its_gathers(monkeypatch):
+    # m=3 at p=101: rel (9 * 100) and the closing scan (100 * 101 * 3) are 31 200 up front,
+    # then 900 per accepted element; seed 0 accepts 15, 44 700 in all
+    ctx, spec = make_field(101), ProgressionSpec(3)
+    try:
+        set_budget(44_700)
+        assert len(greedy_free_set(ctx, spec, 0)[0]) == 15
+        set_budget(44_699)  # refused at the last accept
+        with pytest.raises(BudgetExceeded, match=r"needs ~44700 elementary"):
+            greedy_free_set(ctx, spec, 0)
+        set_budget(31_199)  # refused before rel is built
+        monkeypatch.setattr(experiments, "config_offsets", None)
+        with pytest.raises(BudgetExceeded, match=r"needs ~31200 elementary"):
+            greedy_free_set(ctx, spec, 0)
+    finally:
+        set_budget(None)
+
+
+def test_greedy_free_set_answers_at_p_10559_under_the_default_budget():
+    # 210 accepts, 354 495 408 terms in all, though p * n^2 * (p - 1) is over 10^9
+    elements, _ = greedy_free_set(make_field(10559), ProgressionSpec(3), 0)
+    assert len(elements) == 210
+
+
 def test_bound_violation_carries_report():
     # force a violation by asserting against an artificially tiny budget bound:
     # no honest violation exists, so synthesize one through a fake norm check

@@ -17,7 +17,10 @@ do. The groups:
 - budget: FFPROG_BUDGET refusals, before any table and in the middle of a search;
 - other: the remaining subcommands, their refusals and a warning;
 - greedy: `search --mode greedy --format json` for the same 8 specs at every prime
-  p <= 41, seeds 0-2.
+  p <= 41, seeds 0-2;
+- usage: help and usage errors: lines without a subcommand, and for each subcommand
+  --help, a missing required flag, an unknown flag, a trailing extra token and a bad
+  --format (45). Help is wrapped at COLUMNS=80 whatever the terminal.
 
 A whole run takes about 35 s on a 2-vCPU Xeon, most of it the p = 37 searches.
 """
@@ -113,6 +116,29 @@ def greedy_commands():
                              "--seed", str(seed), "--format", "json"]
 
 
+def usage_commands(tmp: Path):
+    f7 = tmp / "f7.json"
+    f7.write_text(json.dumps({"p": 7, "re": [0.6] * 7, "im": [0.8] * 7}))
+    flags = {  # a valid line of each subcommand, whose first flag is required
+        "gowers": ["--fixture", str(f7)],
+        "lambda": ["--spec", "m=3", "--fixtures", ",".join([str(f7)] * 3)],
+        "discorrelate": ["--spec", "m=3", "--primes", "11", "--trials", "1"],
+        "counterexample": ["--p", "7", "--a", "1"],
+        "chardecay": ["--primes", "11"],
+        "weil": ["--p", "11", "--k", "2", "--r", "1", "--points", "0,1"],
+        "restricted-ap": ["--primes", "11", "--k", "2", "--trials", "1"],
+        "search": ["--spec", "m=3", "--p", "7"],
+    }
+    for argv in ([], ["-h"], ["--help"], ["frobnicate"], ["--", "search", *flags["search"]]):
+        yield None, argv
+    for name, valid in flags.items():
+        yield None, [name, "--help"]
+        yield None, [name, *valid[2:]]
+        yield None, [name, "--bogus"]
+        yield None, [name, *valid, "extra"]
+        yield None, [name, *valid, "--format", "xml"]
+
+
 def run(cli, budget: str | None, argv: list[str]) -> tuple[int, str, str]:
     """(exit code, stdout, stderr) of cli.main(argv) under FFPROG_BUDGET=budget."""
     saved = os.environ.pop("FFPROG_BUDGET", None)
@@ -135,6 +161,8 @@ def main() -> int:
     bench = load_bench()
     from ffprog import cli
 
+    os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal, which a pipe lacks
+
     with tempfile.TemporaryDirectory() as tmp_name:
         tmp = Path(tmp_name)
         groups = {  # generators: each group's directory is made before its first command
@@ -143,6 +171,7 @@ def main() -> int:
             "budget": budget_commands(bench, tmp / "budget"),
             "other": other_commands(bench, tmp / "other"),
             "greedy": greedy_commands(),
+            "usage": usage_commands(tmp / "usage"),
         }
         for group, commands in groups.items():
             (tmp / group).mkdir()
