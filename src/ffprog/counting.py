@@ -427,66 +427,44 @@ def _forbid_table(closing) -> list[list[tuple[int, int]]]:
     return [sorted(pairs.items()) for pairs in grouped]
 
 
-def _largest_free_set(forbids, bound, n: int, best_size: int, meter=None, nodes: int = 0) -> int:
-    """Mask of the first subset of {0..n-1} that holds 0, closes no instance of `forbids` (a
-    _forbid_table) and has more than best_size elements; 0 if none has. {0} must be free.
+def _free_search(forbids, bound, n: int, best: int, wrap: int, meter, nodes=0, first=True):
+    """(mask, nodes popped): a subset of {0..n-1} that holds 0, closes no instance of
+    `forbids` (a _forbid_table) and has more than `best` elements, or mask 0 if none has:
+    the first such set, or with `first` false the last of those that each raised `best`,
+    a largest. {0} must be free.
 
     Depth-first over 1..n-1 in ascending order, the include branch popped first, so the
-    first set of a size is the lexicographically smallest. Each node carries forb, the
-    elements that would close an instance whose other points it holds; adding a ORs in the
-    tops of forbids[a] whose lower points it holds. A node at element i can add at most
-    bound[n - i] of i..n-1, and none of forb, so it is cut when either count cannot beat
-    best_size. meter(nodes) runs every 4096 nodes popped, counted on from `nodes`.
+    first set of a size is the lexicographically smallest. Only sets whose wrap gap
+    wrap - max is at least each inner gap are searched (wrap >= 2n admits every set): a
+    node carries hi = min(n - 1, wrap - G), G its largest inner gap, and adds i only when
+    the new gap i - last is at most wrap - i. It also carries forb, the elements that would
+    close an instance whose other points it holds; adding a ORs in the tops of forbids[a]
+    whose lower points it holds. A node at element i can add at most bound[hi + 1 - i] of
+    i..hi, and none of forb, so it is cut when either count cannot beat best.
+    meter(nodes) runs every 4096 nodes popped, counted on from `nodes`.
     """
-    full = (1 << n) - 1
-    stack = [(1, 1, 1, sum(tops for _, tops in forbids[0]))]  # nothing lies below 0
-    while stack:
-        nodes += 1
-        if meter is not None and not nodes & 4095:
-            meter(nodes)
-        i, current, size, forb = stack.pop()
-        if size > best_size:
-            return current
-        if size + bound[n - i] <= best_size:  # a leaf, i == n, is cut here: bound[0] = 0
-            continue
-        if size + ((full & ~forb) >> i).bit_count() <= best_size:
-            continue
-        stack.append((i + 1, current, size, forb))
-        if not forb >> i & 1:
-            for lower, tops in forbids[i]:
-                if lower & current == lower:
-                    forb |= tops
-            stack.append((i + 1, current | 1 << i, size + 1, forb))
-    return 0
-
-
-def _largest_free_size(forbids, bound, p: int, meter) -> tuple[int, int]:
-    """(size of the largest free subset of F_p, nodes popped). {0} must be free.
-
-    _largest_free_set's search over only the sets whose wrap gap p - max is at least each
-    inner gap. A node carries hi = min(p - 1, p - G), G its largest inner gap: it adds i
-    only when i <= hi and the new gap i - last is at most p - i, and its cuts count [i, hi].
-    """
-    best, nodes = 1, 0
-    stack = [(1, 1, 1, sum(tops for _, tops in forbids[0]), p - 1)]
+    found = 0
+    stack = [(1, 1, 1, sum(tops for _, tops in forbids[0]), n - 1)]  # nothing lies below 0
     while stack:
         nodes += 1
         if not nodes & 4095:
             meter(nodes)
         i, current, size, forb, hi = stack.pop()
         if size > best:
-            best = size
+            if first:
+                return current, nodes
+            best, found = size, current
         if size + bound[hi + 1 - i] <= best:  # i == hi + 1 is cut here: bound[0] = 0
             continue
         if size + (~forb >> i & (1 << hi + 1 - i) - 1).bit_count() <= best:
             continue
         stack.append((i + 1, current, size, forb, hi))
-        if not forb >> i & 1 and (gap := i - current.bit_length() + 1) <= p - i:
+        if not forb >> i & 1 and (gap := i - current.bit_length() + 1) <= wrap - i:
             for lower, tops in forbids[i]:
                 if lower & current == lower:
                     forb |= tops
-            stack.append((i + 1, current | 1 << i, size + 1, forb, min(hi, p - gap)))
-    return best, nodes
+            stack.append((i + 1, current | 1 << i, size + 1, forb, min(hi, wrap - gap)))
+    return found, nodes
 
 
 # Interval lengths up to which _interval_bounds searches R[n] exactly; longer ones take the
@@ -495,21 +473,20 @@ def _largest_free_size(forbids, bound, p: int, meter) -> tuple[int, int]:
 _EXACT_BOUND_LEN = 12
 
 
-def _interval_bounds(closing, top: int, forbids=None) -> list[int]:
+def _interval_bounds(forbids, top: int) -> list[int]:
     """R[n] for n <= top: at least the size of the largest subset of {0..n-1} holding no
-    instance that lies inside {0..n-1}; exact for n <= _EXACT_BOUND_LEN. {0} must be free.
-    forbids is _forbid_table(closing), built here when not passed.
+    instance of `forbids` (a _forbid_table) that lies inside {0..n-1}; exact for
+    n <= _EXACT_BOUND_LEN. {0} must be free.
 
     A set of R[n-1] + 1 elements must hold 0 and n-1, or a translate of it would fit in n-1
     places, so an exact R[n] is R[n-1] or R[n-1] + 1: one search from 0, cut by the R values
     already found, decides it. Past _EXACT_BOUND_LEN, R[n] = min_a R[a] + R[n-a].
     """
-    if forbids is None:
-        forbids = _forbid_table(closing)
     bound = [0, 1]
     for n in range(2, top + 1):
         if n <= _EXACT_BOUND_LEN:
-            bound.append(bound[-1] + (_largest_free_set(forbids, bound, n, bound[-1]) > 0))
+            found = _free_search(forbids, bound, n, bound[-1], 2 * n, lambda nodes: None)[0]
+            bound.append(bound[-1] + (found > 0))
         else:
             bound.append(min(bound[a] + bound[n - a] for a in range(1, n // 2 + 1)))
     return bound
@@ -521,9 +498,9 @@ def exact_max_free_set(ctx: FieldCtx, spec: ProgressionSpec) -> tuple[int, list[
     Returns the lexicographically smallest maximum set, from two depth-first searches over
     the elements in ascending order. The instances are closed under x -> x + t, so every
     free set has a translate that holds 0 and whose wrap gap p - max is at least each of
-    its inner gaps (rotate 0 to follow a largest gap). The proof (_largest_free_size)
-    searches only such sets, for the largest size s. The find (_largest_free_set) searches
-    every set holding 0 and returns the first that beats s - 1: the first set of size s in
+    its inner gaps (rotate 0 to follow a largest gap). Both searches are _free_search. The
+    proof searches only such sets, for the largest size s. The find searches every set
+    holding 0 and returns the first that beats s - 1: the first set of size s in
     include-first order, which is the smallest. Both cut a node at element i unless its
     size plus R[n] beats the best, where i..i+n-1 are the elements it may still add and
     R[n] bounds the largest subset of {0..n-1} holding no instance inside {0..n-1} (the
@@ -549,9 +526,14 @@ def exact_max_free_set(ctx: FieldCtx, spec: ProgressionSpec) -> tuple[int, list[
         # {0} already forbidden; by translation invariance so is every singleton
         return 0, []
     forbids = _forbid_table(closing)
-    bound = _interval_bounds(closing, p - 1, forbids)
-    size, nodes = _largest_free_size(forbids, bound, p, lambda nodes: charge(table + nodes, what))
-    mask = _largest_free_set(forbids, bound, p, size - 1, lambda n: charge(table + n, what), nodes)
+    bound = _interval_bounds(forbids, p - 1)
+
+    def meter(nodes):
+        charge(table + nodes, what)
+
+    mask, nodes = _free_search(forbids, bound, p, 1, p, meter, first=False)
+    size = max(mask.bit_count(), 1)
+    mask, _ = _free_search(forbids, bound, p, size - 1, 2 * p, meter, nodes)
     return size, [e for e in range(p) if mask >> e & 1]
 
 

@@ -26,7 +26,15 @@ from .counting import (
     require_valid,
 )
 from .errors import BoundViolation, UsageError
-from .field import FieldCtx, divisors, is_prime, kth_power_residues, make_field, mult_character
+from .field import (
+    FieldCtx,
+    _read_p,
+    divisors,
+    is_prime,
+    kth_power_residues,
+    make_field,
+    mult_character,
+)
 from .harmonic import FpFunction, _residue, gowers_fast
 from . import counting
 
@@ -178,7 +186,7 @@ def _checked_primes(primes) -> list[int]:
     """The sorted ladder; rejects non-primes before any budget is charged."""
     out = []
     for p in primes:
-        ctx_p = int(p)
+        ctx_p = _read_p(p)
         if ctx_p % 2 == 0 or ctx_p == 1:
             raise UsageError(f"p={ctx_p} must be an odd prime")
         if not is_prime(ctx_p):

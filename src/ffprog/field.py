@@ -1,6 +1,7 @@
 """Exact arithmetic in F_p: primality, primitive roots, power residues, characters."""
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -88,8 +89,16 @@ class FieldCtx:
         return f"FieldCtx(p={self.p}, g={self.g})"
 
 
+def _read_p(p) -> int:
+    """The modulus p as an int; refuses any other value (a float, a string)."""
+    try:
+        return operator.index(p)
+    except TypeError:
+        raise UsageError(f"p must be an integer, got {p!r}") from None
+
+
 def make_field(p: int) -> FieldCtx:
-    p = int(p)
+    p = _read_p(p)
     if p > _MAX_VECTOR_MODULUS:
         raise UsageError(f"p={p} is above {_MAX_VECTOR_MODULUS}, the int64 limit of the tables")
     if p < 2 or not is_prime(p):

@@ -35,8 +35,8 @@ from ffprog import counting
 from ffprog.counting import (
     _closing_masks,
     _forbid_table,
+    _free_search,
     _interval_bounds,
-    _largest_free_size,
     _slot_reduce,
     config_offsets,
     lambda_ap_weighted,
@@ -816,14 +816,14 @@ def _largest_free_interval_subset(spec, p, n):
 @pytest.mark.parametrize("p", [11, 13])
 def test_interval_bounds_match_bruteforce(p, text):
     spec = parse_progression_spec(text)
-    bound = _interval_bounds(_closing_masks(spec, p), min(p, 12))
+    bound = _interval_bounds(_forbid_table(_closing_masks(spec, p)), min(p, 12))
     expected = [_largest_free_interval_subset(spec, p, n) for n in range(min(p, 12) + 1)]
     assert bound == expected
 
 
 def test_interval_bounds_past_the_exact_range_stay_upper_bounds():
     spec = ProgressionSpec(3)
-    bound = _interval_bounds(_closing_masks(spec, 31), 16)
+    bound = _interval_bounds(_forbid_table(_closing_masks(spec, 31)), 16)
     # below p / 2 a 3-AP mod 31 inside {0..n-1} is an integer one, so R[n] = r_3(n) (A003002)
     assert bound[:13] == [0, 1, 2, 2, 3, 4, 4, 4, 4, 5, 5, 6, 6]
     for n in range(13, 17):
@@ -852,8 +852,28 @@ def test_rotation_proof_size_matches_scanning_search(text):
             assert expected == 0, p
             continue
         forbids = _forbid_table(closing)
-        bound = _interval_bounds(closing, p - 1, forbids)
-        assert _largest_free_size(forbids, bound, p, lambda nodes: None)[0] == expected, p
+        bound = _interval_bounds(forbids, p - 1)
+        mask, _ = _free_search(forbids, bound, p, 1, p, lambda nodes: None, first=False)
+        assert max(mask.bit_count(), 1) == expected, p
+
+
+@pytest.mark.parametrize(
+    "text, p, proof_nodes, total_nodes",
+    [("m=3", 31, 2625, 2639), ("m=4", 29, 38056, 38075), ("m=3;P=y^3,y^4", 23, 2669, 2760)],
+)
+def test_free_search_pops_the_pinned_node_counts(text, p, proof_nodes, total_nodes):
+    # the budget windows of search --mode exact rest on these counts: the proof over
+    # canonical rotations, then the find counting on from the proof's total
+    forbids = _forbid_table(_closing_masks(parse_progression_spec(text), p))
+    bound = _interval_bounds(forbids, p - 1)
+    seen = []
+    mask, nodes = _free_search(forbids, bound, p, 1, p, seen.append, first=False)
+    assert nodes == proof_nodes
+    size = mask.bit_count()
+    found, nodes = _free_search(forbids, bound, p, size - 1, 2 * p, seen.append, nodes)
+    assert nodes == total_nodes
+    assert found.bit_count() == size
+    assert seen == list(range(4096, total_nodes + 1, 4096))
 
 
 def test_exact_max_free_set_small_and_polynomial_specs():

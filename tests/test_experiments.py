@@ -468,6 +468,18 @@ def test_bound_violation_carries_report():
     assert info.value.report is not None
 
 
+def test_prime_ladders_refuse_a_modulus_that_is_not_an_integer():
+    fam = TrialFunctionFamily(kind="random_indicator", seed=1)
+    with pytest.raises(UsageError, match="p must be an integer, got 101.7"):
+        discorrelation_sweep([101.7, 211.2, 401.0], SPEC34, fam, 1)
+    with pytest.raises(UsageError, match="p must be an integer, got 101.5"):
+        character_norm_decay([101.5], 2)
+    with pytest.raises(UsageError, match="p must be an integer, got '101'"):
+        restricted_ap_experiment(["101"], 3, 2, fam, 1)
+    rep = discorrelation_sweep([np.int64(11)], SPEC34, fam, 1)
+    assert [r.p for r in rep.rows] == [11, 11]
+
+
 def test_odd_primes_required():
     fam = TrialFunctionFamily(kind="random_indicator", seed=1)
     with pytest.raises(UsageError, match="p=2 must be an odd prime"):

@@ -26,6 +26,11 @@ def test_make_field_examples():
         make_field(9)
     with pytest.raises(UsageError, match="1 is not prime"):
         make_field(1)
+    for p in (7.9, 7.0, "7", np.float64(7.0), None):  # read as an integer, never truncated
+        with pytest.raises(UsageError, match="p must be an integer, got"):
+            make_field(p)
+    ctx = make_field(np.int64(7))
+    assert (ctx.p, ctx.g) == (7, 3) and type(ctx.p) is int
 
 
 def test_make_field_rejects_moduli_past_int64_products():

@@ -14,7 +14,8 @@ do. The groups:
 - bench: the commands of the three benchmark workloads for seeds 0-10 (121);
 - search: `search --mode exact`, pretty and json, for 8 specs at every p in 0..41
   (non-primes are refused, and so is p = 41, past the cap);
-- budget: FFPROG_BUDGET refusals, before any table and in the middle of a search;
+- budget: FFPROG_BUDGET refusals, before any table and in the middle of a search, and
+  the two budgets either side of one node charge of the exact search;
 - other: the remaining subcommands, their refusals and a warning;
 - greedy: `search --mode greedy --format json` for the same 8 specs at every prime
   p <= 41, seeds 0-2;
@@ -84,6 +85,8 @@ def budget_commands(bench, tmp: Path):
     for budget in ("1000", "5000", "50000", "100000", "300000"):
         yield budget, m4
     yield "100000", ["search", "--spec", "m=5", "--p", "31", "--mode", "exact"]  # mid-search
+    for budget in ("25129", "25130"):  # its fifth node charge: refused, then answered
+        yield budget, ["search", "--spec", "m=3;P=y^3,y^4", "--p", "31", "--mode", "exact"]
     yield "not-a-number", m4
 
 
