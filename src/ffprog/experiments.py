@@ -183,7 +183,7 @@ def discorrelation_error(spec: ProgressionSpec, fs) -> float:
 
 
 def _checked_primes(primes) -> list[int]:
-    """The sorted ladder; rejects non-primes before any budget is charged."""
+    """The sorted ladder; rejects non-primes and repeats before any budget is charged."""
     out = []
     for p in primes:
         ctx_p = _read_p(p)
@@ -191,6 +191,8 @@ def _checked_primes(primes) -> list[int]:
             raise UsageError(f"p={ctx_p} must be an odd prime")
         if not is_prime(ctx_p):
             raise UsageError(f"{ctx_p} is not prime")
+        if ctx_p in out:
+            raise UsageError(f"prime {ctx_p} appears twice in the ladder")
         out.append(ctx_p)
     return sorted(out)
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .budget import charge_power
 from .errors import MalformedFixture, UsageError
@@ -207,10 +206,19 @@ def _nested_derivatives(values: np.ndarray, t: int):
         yield d
 
 
+def _windows(doubled: np.ndarray) -> np.ndarray:
+    """A read-only view whose row j (of the last two axes) is doubled[..., j : j + p], where
+    the last axis of doubled, C-contiguous, has length 2p."""
+    p, step = doubled.shape[-1] // 2, doubled.itemsize
+    shape, strides = (*doubled.shape[:-1], p + 1, p), (*doubled.strides[:-1], step, step)
+    view = np.ndarray(shape, doubled.dtype, doubled, strides=strides)
+    view.flags.writeable = False
+    return view
+
+
 def _shift_rows(values: np.ndarray) -> np.ndarray:
     """A read-only view whose row j (of the last two axes) is x -> values(x + j)."""
-    p = values.shape[-1]
-    return sliding_window_view(np.concatenate([values, values], axis=-1), p, axis=-1)
+    return _windows(np.concatenate([values, values], axis=-1))
 
 
 def _gowers_box_average(values: np.ndarray, s: int) -> float:
@@ -222,7 +230,10 @@ def _gowers_box_average(values: np.ndarray, s: int) -> float:
     p = len(values)
     # D is built a few rows of a at a time, so the (a, b, x) temporary stays near 2^16
     # entries (p^2 once p > 256) and the oracle's peak memory stays small at any s
-    rows = max(1, (1 << 16) // (p * p))
+    rows = min(p, max(1, (1 << 16) // (p * p)))
+    # each block writes D into both halves of twice, so one window view serves every block
+    twice = np.empty((rows, 2 * p), dtype=np.complex128)
+    windows = _windows(twice)[:, :p]
     acc = 0.0 + 0j
     for d in _nested_derivatives(values, max(s - 2, 0)):
         shifted, conj_d = _shift_rows(d)[:p], np.conjugate(d)
@@ -231,7 +242,9 @@ def _gowers_box_average(values: np.ndarray, s: int) -> float:
             if s == 1:
                 acc += D.sum()
             else:
-                acc += (_shift_rows(D)[:, :p] * np.conjugate(D)[:, None, :]).sum()
+                r = len(D)
+                twice[:r, :p] = twice[:r, p:] = D
+                acc += (windows[:r] * np.conjugate(D)[:, None, :]).sum()
     return float((acc / p ** (s + 1)).real)
 
 
@@ -246,14 +259,9 @@ def gowers_direct(f: FpFunction, s: int) -> float:
 
 
 # Derivative rows per chirp transform in gowers_fast. An (8, L) block stays in cache; all p
-# rows at once lost from p ~ 401, and 32 rows was already slower at p = 2003.
+# rows at once lost from p ~ 401, and 32 rows was already slower at p = 2003. On the padded
+# path 16 rows gave the gowers bench -1.7 % wall time (4 pairs) for +1.0 MiB peak RSS.
 _ROW_BLOCK = 8
-
-
-def _u2_fourth_powers(rows: np.ndarray) -> np.ndarray:
-    """||row||_{U^2}^4 = l^4 norm^4 of the spectrum, for each row along the last axis."""
-    coeffs = _dft_sum_fast(rows) / rows.shape[-1]
-    return (np.abs(coeffs) ** 4).sum(axis=-1)
 
 
 def gowers_fast(f: FpFunction, s: int) -> float:
@@ -261,8 +269,10 @@ def gowers_fast(f: FpFunction, s: int) -> float:
 
     s=2 is one fast transform (U^2 = l^4 norm of the spectrum); s>2 averages
     ||Delta_{h_1..h_{s-2}} f||_{U^2}^4 over all tuples, cost O(p^{s-1} log p). The rows
-    Delta_h d of the last level go through the chirp transform a block at a time; the cost
-    and the result are those of one row per call.
+    Delta_h d of the last level go through the chirp transform a block at a time, written
+    into the first p columns of a zeroed (_ROW_BLOCK, L) block: rows already of length L take
+    pocketfft's multi-row path, where fft(x, L) zero-fills one row at a time. The cost and
+    the result are those of one _dft_sum_fast call per row.
     """
     if s < 2:
         raise UsageError("gowers_fast needs s >= 2")
@@ -270,14 +280,25 @@ def gowers_fast(f: FpFunction, s: int) -> float:
     logp = max(1, math.ceil(math.log2(p)))
     charge_power(p, s - 1, logp, f"gowers_fast(s={s}, p={p})")
     if s == 2:
-        acc = float(_u2_fourth_powers(f.values))
+        acc = float((np.abs(_dft_sum_fast(f.values) / p) ** 4).sum())
     else:
+        chirp, fkernel, L = _bluestein_plan(p)
+        padded = np.zeros((_ROW_BLOCK, L), dtype=np.complex128)  # columns p.. stay zero
+        spectrum = np.empty_like(padded)
         acc = 0.0
         for d in _nested_derivatives(f.values, s - 3):
             shifted, conj_d = _shift_rows(d)[:p], np.conjugate(d)
             for h0 in range(0, p, _ROW_BLOCK):
+                r = min(_ROW_BLOCK, p - h0)
+                np.multiply(shifted[h0 : h0 + r] * conj_d, chirp, out=padded[:r, :p])
+                work = np.fft.fft(padded[:r], axis=-1, out=spectrum[:r])
+                work *= fkernel
+                np.fft.ifft(work, axis=-1, out=work)
+                # |z * (1/p)| == |z / p|: numpy divides by p + 0j as (re + im*0) * fl(1/p), so
+                # only the sign of an exact zero can differ, and |.| drops it
+                coeffs = chirp * work[:, :p] * (1.0 / p)
                 # one add per row, in order: a block .sum() would reorder the float additions
-                for v in _u2_fourth_powers(shifted[h0 : h0 + _ROW_BLOCK] * conj_d):
+                for v in (np.abs(coeffs) ** 4).sum(axis=-1):
                     acc += float(v)
     return (acc / p ** (s - 2)) ** (1.0 / (1 << s))
 

@@ -312,6 +312,24 @@ def test_composite_prime_rejected_before_budget(cmd, capsys):
     assert capsys.readouterr().err == "error: UsageError: 1000001 is not prime\n"
 
 
+@pytest.mark.parametrize(
+    "cmd",
+    [
+        ["discorrelate", "--spec", "m=3;P=y^3,y^4", "--trials", "2"],
+        ["chardecay", "--s", "2"],
+        ["restricted-ap", "--k", "2", "--trials", "2"],
+    ],
+)
+def test_repeated_prime_refused_before_budget(cmd, monkeypatch, capsys):
+    # a repeat would add a second pair of rows for p and move the fit; a budget of 1 term
+    # shows the refusal comes before any charge
+    monkeypatch.setenv("FFPROG_BUDGET", "1")
+    assert main(cmd + ["--primes", "101,211,101"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: UsageError: prime 101 appears twice in the ladder\n"
+
+
 def test_search_rejects_csv(capsys):
     assert main(["search", "--spec", "m=3", "--p", "11", "--format", "csv"]) == 1
     captured = capsys.readouterr()

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ffprog import (
     BudgetExceeded,
@@ -20,11 +21,13 @@ from ffprog import (
     inner,
     make_field,
     max_fourier_coeff,
+    mult_character,
     mult_derivative,
     norms,
     set_budget,
 )
-from ffprog.harmonic import _dft_sum_fast, _nested_derivatives
+from ffprog.field import divisors
+from ffprog.harmonic import _dft_sum_fast, _nested_derivatives, _shift_rows
 
 
 def random_unimodular(ctx, seed):
@@ -209,6 +212,59 @@ def test_gowers_direct_matches_corner_sum(p, s):
         assert abs(gowers_direct(f, s) ** (1 << s) - _corner_sum_average(f.values, s)) < 1e-12
 
 
+def _gowers_direct_per_block(values, s):
+    """gowers_direct with a fresh window view of every block of D, built by numpy's own
+    sliding_window_view: the same products and sums, block by block."""
+    p = len(values)
+    rows = max(1, (1 << 16) // (p * p))
+    acc = 0.0 + 0j
+    for d in _nested_derivatives(values, max(s - 2, 0)):
+        shifted = sliding_window_view(np.concatenate([d, d]), p)[:p]
+        for a0 in range(0, p, rows):
+            D = shifted[a0 : a0 + rows] * np.conjugate(d)
+            if s == 1:
+                acc += D.sum()
+            else:
+                windows = sliding_window_view(np.concatenate([D, D], axis=-1), p, axis=-1)
+                acc += (windows[:, :p] * np.conjugate(D)[:, None, :]).sum()
+    return max(float((acc / p ** (s + 1)).real), 0.0) ** (1.0 / (1 << s))
+
+
+@pytest.mark.parametrize(
+    "p, s",
+    [(p, s) for p in (2, 3, 5, 7, 13) for s in (1, 2, 3, 4)] + [(101, s) for s in (1, 2, 3)],
+)
+def test_gowers_direct_matches_the_per_block_route(p, s):
+    # at p = 101 a block holds 6 rows of D, and 6 does not divide 101: the last block is short
+    ctx = make_field(p)
+    rng = np.random.default_rng(11 * p + s)
+    amplitude = FpFunction(ctx, rng.random(p) * np.exp(2j * np.pi * rng.random(p)), bounded=True)
+    for f in (random_unimodular(ctx, 5 * p + s), amplitude):
+        assert gowers_direct(f, s) == _gowers_direct_per_block(f.values, s)
+
+
+def test_shift_rows_is_the_sliding_window_view():
+    rng = np.random.default_rng(4)
+    for values in (rng.random(7) + 1j * rng.random(7), rng.random((3, 5)) > 0.5, np.arange(1)):
+        view = _shift_rows(values)
+        doubled = np.concatenate([values, values], axis=-1)
+        expected = sliding_window_view(doubled, values.shape[-1], axis=-1)
+        assert view.shape == expected.shape and np.array_equal(view, expected)
+        assert not view.flags.writeable
+
+
+def test_gowers_direct_memory_is_one_block():
+    # a block of D is 6 of the 101 rows at p = 101: one (6, 101, 101) temporary, under 1 MiB
+    f = random_unimodular(make_field(101), 5)
+    tracemalloc.start()
+    try:
+        gowers_direct(f, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 @pytest.mark.parametrize("p", [5, 7])
 def test_gowers_fast_matches_direct_u4(p):
     f = random_unimodular(make_field(p), 40 + p)
@@ -227,14 +283,19 @@ def _gowers_fast_by_row(f, s):
 
 @pytest.mark.parametrize(
     "p, s",
-    [(p, s) for p in (2, 3, 5, 7, 13, 101, 2003) for s in (2, 3)] + [(p, 4) for p in (5, 7, 13)],
+    [(p, s) for p in (2, 3, 5, 7, 13, 101, 2003) for s in (2, 3)]
+    + [(p, 4) for p in (5, 7, 13)]
+    + [(211, s) for s in (2, 3)],
 )
 def test_gowers_fast_matches_the_row_by_row_route(p, s):
     # p % 8 != 0 throughout, so the last block of rows is short; p < 8 is one short block
     ctx = make_field(p)
     rng = np.random.default_rng(7 * p + s)
     amplitude = FpFunction(ctx, rng.random(p) * np.exp(2j * np.pi * rng.random(p)), bounded=True)
-    for f in (random_unimodular(ctx, 3 * p + s), amplitude):
+    fs = [random_unimodular(ctx, 3 * p + s), amplitude]
+    if p in (101, 211):  # chardecay's inputs: chi(0) = 0 and other exact zeros in the rows
+        fs += [FpFunction(ctx, mult_character(ctx, k)) for k in divisors(p - 1) if k > 1]
+    for f in fs:
         assert gowers_fast(f, s) == _gowers_fast_by_row(f, s)
 
 

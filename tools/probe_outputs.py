@@ -16,14 +16,18 @@ do. The groups:
   (non-primes are refused, and so is p = 41, past the cap);
 - budget: FFPROG_BUDGET refusals, before any table and in the middle of a search, and
   the two budgets either side of one node charge of the exact search;
-- other: the remaining subcommands, their refusals and a warning;
+- other: the remaining subcommands, their refusals (a prime repeated in a ladder among
+  them) and a warning;
+- gowers: `gowers --s 2|3|4 --strategy direct|fast` on 7-, 13- and 101-point fixtures
+  (the 13-point one is the quadratic character, with its exact zero), leaving out what
+  the default budget refuses, and `chardecay --s 3 --format json` on a four-prime ladder;
 - greedy: `search --mode greedy --format json` for the same 8 specs at every prime
   p <= 41, seeds 0-2;
 - usage: help and usage errors: lines without a subcommand, and for each subcommand
   --help, a missing required flag, an unknown flag, a trailing extra token and a bad
   --format (45). Help is wrapped at COLUMNS=80 whatever the terminal.
 
-A whole run takes about 35 s on a 2-vCPU Xeon, most of it the p = 37 searches.
+A whole run takes about 40 s on a 2-vCPU Xeon, most of it the p = 37 searches.
 """
 
 import contextlib
@@ -36,6 +40,8 @@ import shlex
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -105,9 +111,28 @@ def other_commands(bench, tmp: Path):
     yield None, ["weil", "--p", "101", "--k", "2", "--r", "2", "--points", "0,0,1,1"]
     yield None, ["chardecay", "--primes", "11,13,17", "--s", "2", "--k", "all", "--format", "csv"]
     yield None, ["restricted-ap", "--primes", "11,13,17", "--k", "2", "--trials", "3"]
+    yield None, ["chardecay", "--primes", "11,11,13", "--s", "2"]
     yield None, ["search", "--spec", "m=3;P=y^3,y^4", "--p", "101", "--mode", "greedy"]
     yield None, ["search", "--spec", "m=3", "--p", "1000003", "--mode", "exact"]
     yield None, ["search", "--spec", "m=3;P=y^", "--p", "11"]
+
+
+def gowers_commands(bench, tmp: Path):
+    f7, f13 = tmp / "f7.json", tmp / "f13.json"
+    phases = np.random.default_rng(7).random(7)
+    f7.write_text(json.dumps({"p": 7, "re": np.cos(2 * np.pi * phases).tolist(),
+                              "im": np.sin(2 * np.pi * phases).tolist()}))
+    squares = {x * x % 13 for x in range(1, 13)}
+    chi = [0] + [1 if x in squares else -1 for x in range(1, 13)]
+    f13.write_text(json.dumps({"p": 13, "re": chi, "im": [0] * 13}))
+    fixtures = {7: f7, 13: f13, 101: bench.write_fixtures(0, tmp)[bench.GOWERS_DIRECT_P]}
+    for p, path in fixtures.items():
+        for s in (2, 3, 4):
+            for strategy in ("direct", "fast"):
+                if strategy == "direct" and p ** (s + 1) > 10**9:  # the default budget's refusal
+                    continue
+                yield None, ["gowers", "--fixture", str(path), "--s", str(s), "--strategy", strategy]
+    yield None, ["chardecay", "--primes", "11,13,17,101", "--s", "3", "--k", "all", "--format", "json"]
 
 
 def greedy_commands():
@@ -173,6 +198,7 @@ def main() -> int:
             "search": search_commands(),
             "budget": budget_commands(bench, tmp / "budget"),
             "other": other_commands(bench, tmp / "other"),
+            "gowers": gowers_commands(bench, tmp / "gowers"),
             "greedy": greedy_commands(),
             "usage": usage_commands(tmp / "usage"),
         }
