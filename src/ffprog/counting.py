@@ -391,39 +391,29 @@ def find_progression(A, spec: ProgressionSpec, p: int | None = None):
     return None
 
 
-def _closing_masks(spec: ProgressionSpec, p: int) -> list[list[int]]:
-    """closing[e]: every instance whose largest point is e, as the mask of its other points.
+def _forbid_table(spec: ProgressionSpec, p: int) -> list[list[tuple[int, int]]] | None:
+    """forbids[a]: the instances whose second-largest point is a, grouped by the mask of
+    their points below a, as (lower, tops) pairs in ascending lower; tops ORs their largest
+    points. None when an instance is a single point: by translation every point is one.
 
-    An instance is the distinct point set of a y != 0 configuration; each is filed once, in
-    ascending mask order. The searches add elements in ascending order, so adding e can only
-    close an instance filed under e, and an instance filed under e < n lies inside {0..n-1}.
-    The masks are int64 ORs of the weights 1 << x, so they need p < 63; exact_max_free_set
-    refuses p > MAX_EXACT_P before it builds this table.
+    An instance is the distinct point set of a y != 0 configuration. The searches add
+    elements in ascending order, so adding a to a set that holds lower leaves each instance
+    of the pair one point short, its largest: those become forbidden. The masks are int64
+    ORs of the weights 1 << x, so they need p < 63; exact_max_free_set refuses p >
+    MAX_EXACT_P before it builds this table.
     """
     offsets = [off[1:] for off in config_offsets(spec, p)]
     weights = np.left_shift(1, np.arange(p, dtype=np.int64))
     blocks = _slot_reduce([weights] * len(offsets), offsets, np.bitwise_or)
-    closing: list[list[int]] = [[] for _ in range(p)]
-    for mask in sorted({mask for _, _, acc in blocks for mask in acc.ravel().tolist()}):
-        top = mask.bit_length() - 1
-        closing[top].append(mask & ~(1 << top))
-    return closing
-
-
-def _forbid_table(closing) -> list[list[tuple[int, int]]]:
-    """forbids[a]: the instances of `closing` whose second-largest point is a, grouped by
-    the mask of their points below a, as (lower, tops) pairs; tops ORs their largest points.
-
-    The searches add elements in ascending order, so adding a to a set that holds lower
-    leaves each instance of the pair one point short, its largest: those become forbidden.
-    {0} must be free, so every instance has a second-largest point.
-    """
-    grouped: list[dict[int, int]] = [{} for _ in closing]
-    for top, others in enumerate(closing):
-        for other in others:
-            a = other.bit_length() - 1
-            lower = other & ~(1 << a)
-            grouped[a][lower] = grouped[a].get(lower, 0) | 1 << top
+    grouped: list[dict[int, int]] = [{} for _ in range(p)]
+    for mask in {mask for _, _, acc in blocks for mask in acc.ravel().tolist()}:
+        top = 1 << mask.bit_length() - 1
+        rest = mask & ~top
+        if not rest:
+            return None
+        a = rest.bit_length() - 1
+        lower = rest & ~(1 << a)
+        grouped[a][lower] = grouped[a].get(lower, 0) | top
     return [sorted(pairs.items()) for pairs in grouped]
 
 
@@ -431,7 +421,7 @@ def _free_search(forbids, bound, n: int, best: int, wrap: int, meter, nodes=0, f
     """(mask, nodes popped): a subset of {0..n-1} that holds 0, closes no instance of
     `forbids` (a _forbid_table) and has more than `best` elements, or mask 0 if none has:
     the first such set, or with `first` false the last of those that each raised `best`,
-    a largest. {0} must be free.
+    a largest.
 
     Depth-first over 1..n-1 in ascending order, the include branch popped first, so the
     first set of a size is the lexicographically smallest. Only sets whose wrap gap
@@ -476,7 +466,7 @@ _EXACT_BOUND_LEN = 12
 def _interval_bounds(forbids, top: int) -> list[int]:
     """R[n] for n <= top: at least the size of the largest subset of {0..n-1} holding no
     instance of `forbids` (a _forbid_table) that lies inside {0..n-1}; exact for
-    n <= _EXACT_BOUND_LEN. {0} must be free.
+    n <= _EXACT_BOUND_LEN.
 
     A set of R[n-1] + 1 elements must hold 0 and n-1, or a translate of it would fit in n-1
     places, so an exact R[n] is R[n-1] or R[n-1] + 1: one search from 0, cut by the R values
@@ -521,11 +511,9 @@ def exact_max_free_set(ctx: FieldCtx, spec: ProgressionSpec) -> tuple[int, list[
     table = p * (p - 1) * spec.total_points
     what = f"exact_max_free_set(p={p})"
     charge(table, what)
-    closing = _closing_masks(spec, p)
-    if closing[0]:
-        # {0} already forbidden; by translation invariance so is every singleton
+    forbids = _forbid_table(spec, p)
+    if forbids is None:  # every point is an instance
         return 0, []
-    forbids = _forbid_table(closing)
     bound = _interval_bounds(forbids, p - 1)
 
     def meter(nodes):

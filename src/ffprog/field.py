@@ -85,9 +85,6 @@ class FieldCtx:
         t.flags.writeable = False
         return t
 
-    def __repr__(self):
-        return f"FieldCtx(p={self.p}, g={self.g})"
-
 
 def _read_p(p) -> int:
     """The modulus p as an int; refuses any other value (a float, a string)."""

@@ -19,6 +19,7 @@ from ffprog import (
     find_progression,
     fourier,
     gowers_fast,
+    greedy_free_set,
     indicator,
     inner,
     kth_power_residues,
@@ -33,7 +34,6 @@ from ffprog import (
 )
 from ffprog import counting
 from ffprog.counting import (
-    _closing_masks,
     _forbid_table,
     _free_search,
     _interval_bounds,
@@ -519,7 +519,7 @@ def test_slot_reduce_on_small_fields(p, text):
         expected = _scan_by_definition(values[:taken], offsets[:taken], p, np.multiply, complex)
         assert acc.tobytes() == expected.tobytes()
     assert seen == ([(0, spec.m)] if spec.m < n else []) + [(0, n)]  # prefix n is not yielded
-    # rows = p - 1, as in find_progression and _closing_masks: y runs over 1 .. p-1
+    # rows = p - 1, as in find_progression and _forbid_table: y runs over 1 .. p-1
     nonzero_y = [off[1:] for off in offsets]
     masks = [np.left_shift(1, np.arange(p, dtype=np.int64))] * n
     blocks = list(_slot_reduce(masks, nonzero_y, np.bitwise_or))
@@ -643,6 +643,16 @@ def _slot_offsets(spec, y, p):
     return [j * y % p for j in range(spec.m)] + [P.eval_mod(y, p) for P in spec.polys]
 
 
+def _python_instances(spec, p):
+    """Every instance, the distinct point set of a y != 0 configuration, as a mask of its
+    points, by a pure-Python scan."""
+    return {
+        sum(1 << pt for pt in {(x + o) % p for o in _slot_offsets(spec, y, p)})
+        for y in range(1, p)
+        for x in range(p)
+    }
+
+
 def _first_progression(members, spec, p):
     """find_progression by a pure-Python scan, y then x ascending."""
     members = set(members)
@@ -679,33 +689,26 @@ def test_find_progression_matches_python_scan(p, text):
     assert found == {True, False}  # some scans run past the first block, some stop in it
 
 
-@pytest.mark.parametrize("text", ["m=3", "m=4", "m=3;P=y^3,y^4", "m=2;P=-y^2+2y^3"])
+@pytest.mark.parametrize(
+    "text", ["m=1", "m=2", "m=3", "m=4", "m=3;P=y^3,y^4", "m=2;P=-y^2+2y^3", "m=1;P=y^2+1"]
+)
 @pytest.mark.parametrize("p", [5, 11, 13, 31])
-def test_instance_masks_match_python_enumeration(p, text):
-    spec = parse_progression_spec(text)
-    expected = set()
-    for y in range(1, p):
-        offs = _slot_offsets(spec, y, p)
-        for x in range(p):
-            expected.add(sum(1 << pt for pt in {(x + o) % p for o in offs}))
-    closing = _closing_masks(spec, p)
-    masks = [other | 1 << top for top, others in enumerate(closing) for other in others]
-    assert sorted(masks) == sorted(expected)
-
-
-@pytest.mark.parametrize("text", ["m=2", "m=3", "m=4", "m=3;P=y^3,y^4", "m=2;P=-y^2+2y^3"])
-@pytest.mark.parametrize("p", [5, 11, 31])
 def test_forbid_table_rebuilds_the_instances(p, text):
-    closing = _closing_masks(parse_progression_spec(text), p)
-    expected = sorted(other | 1 << top for top, others in enumerate(closing) for other in others)
+    spec = parse_progression_spec(text)
+    expected = _python_instances(spec, p)
+    forbids = _forbid_table(spec, p)
+    if any(mask.bit_count() == 1 for mask in expected):
+        assert forbids is None
+        return
     rebuilt = [
         lower | 1 << a | 1 << top
-        for a, pairs in enumerate(_forbid_table(closing))
+        for a, pairs in enumerate(forbids)
         for lower, tops in pairs
         for top in range(p)
         if tops >> top & 1
     ]
-    assert sorted(rebuilt) == expected
+    assert sorted(rebuilt) == sorted(expected)
+    assert all(pairs == sorted(pairs) for pairs in forbids)  # ascending lower
 
 
 def test_exact_max_free_set_examples():
@@ -769,8 +772,12 @@ def _scanning_search(spec, p):
     """The free-set search with neither the interval bound nor the forbidden mask: depth
     first from {0}, include first, each candidate tested against its closing list, a node
     cut only when taking every element left could not beat the best (m=40 at p = 23 would
-    otherwise pop all 2^23 subsets)."""
-    closing = _closing_masks(spec, p)
+    otherwise pop all 2^23 subsets). closing[e] holds the instances whose largest point
+    is e, as the masks of their other points, from the pure-Python enumeration."""
+    closing = [[] for _ in range(p)]
+    for mask in _python_instances(spec, p):
+        top = mask.bit_length() - 1
+        closing[top].append(mask & ~(1 << top))
     if closing[0]:
         return 0, []
     best_size, best_mask = 1, 1
@@ -799,12 +806,7 @@ def test_exact_max_free_set_matches_scanning_search(text):
 
 def _largest_free_interval_subset(spec, p, n):
     """Size of the largest subset of {0..n-1} holding no y != 0 instance inside {0..n-1}."""
-    inside = set()
-    for y in range(1, p):
-        for x in range(p):
-            points = {(x + o) % p for o in _slot_offsets(spec, y, p)}
-            if max(points) < n:
-                inside.add(sum(1 << pt for pt in points))
+    inside = {mask for mask in _python_instances(spec, p) if mask < 1 << n}
     subsets = np.arange(1 << n)
     free = np.ones(1 << n, dtype=bool)
     for mask in inside:
@@ -816,14 +818,14 @@ def _largest_free_interval_subset(spec, p, n):
 @pytest.mark.parametrize("p", [11, 13])
 def test_interval_bounds_match_bruteforce(p, text):
     spec = parse_progression_spec(text)
-    bound = _interval_bounds(_forbid_table(_closing_masks(spec, p)), min(p, 12))
+    bound = _interval_bounds(_forbid_table(spec, p), min(p, 12))
     expected = [_largest_free_interval_subset(spec, p, n) for n in range(min(p, 12) + 1)]
     assert bound == expected
 
 
 def test_interval_bounds_past_the_exact_range_stay_upper_bounds():
     spec = ProgressionSpec(3)
-    bound = _interval_bounds(_forbid_table(_closing_masks(spec, 31)), 16)
+    bound = _interval_bounds(_forbid_table(spec, 31), 16)
     # below p / 2 a 3-AP mod 31 inside {0..n-1} is an integer one, so R[n] = r_3(n) (A003002)
     assert bound[:13] == [0, 1, 2, 2, 3, 4, 4, 4, 4, 5, 5, 6, 6]
     for n in range(13, 17):
@@ -838,6 +840,20 @@ def test_exact_max_free_set_edge_specs():
     assert exact_max_free_set(make_field(31), ProgressionSpec(1)) == (0, [])
 
 
+def test_free_sets_when_only_some_primes_make_every_point_an_instance():
+    # x + y^2 + 1 = x has a root y != 0 exactly when p = 1 mod 4: then every point is an
+    # instance; at p = 3 mod 4 no point is, and the instances are the pairs {x, x + y^2 + 1}
+    spec = parse_progression_spec("m=1;P=y^2+1")
+    for p in (5, 13, 17, 29):
+        assert _forbid_table(spec, p) is None
+        assert exact_max_free_set(make_field(p), spec) == (0, [])
+        assert greedy_free_set(make_field(p), spec, seed=0)[0] == []
+    for p, size in [(3, 1), (7, 2), (11, 2), (19, 2), (31, 2)]:
+        result = exact_max_free_set(make_field(p), spec)
+        assert result[0] == size and result == _scanning_search(spec, p), p
+        assert 1 <= len(greedy_free_set(make_field(p), spec, seed=0)[0]) <= size
+
+
 @pytest.mark.parametrize(
     "text",
     ["m=2", "m=3", "m=4", "m=40", "m=2;P=y^2", "m=3;P=y^3,y^4", "m=3;P=2y^3", "m=2;P=-y^2+2y^3"],
@@ -846,12 +862,11 @@ def test_rotation_proof_size_matches_scanning_search(text):
     # the proof phase alone, which searches only the sets whose wrap gap is their largest
     spec = parse_progression_spec(text)
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
-        closing = _closing_masks(spec, p)
+        forbids = _forbid_table(spec, p)
         expected = _scanning_search(spec, p)[0]
-        if closing[0]:
+        if forbids is None:
             assert expected == 0, p
             continue
-        forbids = _forbid_table(closing)
         bound = _interval_bounds(forbids, p - 1)
         mask, _ = _free_search(forbids, bound, p, 1, p, lambda nodes: None, first=False)
         assert max(mask.bit_count(), 1) == expected, p
@@ -864,7 +879,7 @@ def test_rotation_proof_size_matches_scanning_search(text):
 def test_free_search_pops_the_pinned_node_counts(text, p, proof_nodes, total_nodes):
     # the budget windows of search --mode exact rest on these counts: the proof over
     # canonical rotations, then the find counting on from the proof's total
-    forbids = _forbid_table(_closing_masks(parse_progression_spec(text), p))
+    forbids = _forbid_table(parse_progression_spec(text), p)
     bound = _interval_bounds(forbids, p - 1)
     seen = []
     mask, nodes = _free_search(forbids, bound, p, 1, p, seen.append, first=False)

@@ -31,6 +31,8 @@ def test_make_field_examples():
             make_field(p)
     ctx = make_field(np.int64(7))
     assert (ctx.p, ctx.g) == (7, 3) and type(ctx.p) is int
+    ctx.twiddle  # a cached table is not a dataclass field, so the repr leaves it out
+    assert repr(ctx) == "FieldCtx(p=7, g=3)"
 
 
 def test_make_field_rejects_moduli_past_int64_products():

@@ -12,7 +12,7 @@ as <tmp> in argv, stdout and stderr, so the lines of two trees match when their 
 do. The groups:
 
 - bench: the commands of the three benchmark workloads for seeds 0-10 (121);
-- search: `search --mode exact`, pretty and json, for 8 specs at every p in 0..41
+- search: `search --mode exact`, pretty and json, for 9 specs at every p in 0..41
   (non-primes are refused, and so is p = 41, past the cap);
 - budget: FFPROG_BUDGET refusals, before any table and in the middle of a search, and
   the two budgets either side of one node charge of the exact search;
@@ -21,7 +21,7 @@ do. The groups:
 - gowers: `gowers --s 2|3|4 --strategy direct|fast` on 7-, 13- and 101-point fixtures
   (the 13-point one is the quadratic character, with its exact zero), leaving out what
   the default budget refuses, and `chardecay --s 3 --format json` on a four-prime ladder;
-- greedy: `search --mode greedy --format json` for the same 8 specs at every prime
+- greedy: `search --mode greedy --format json` for the same 9 specs at every prime
   p <= 41, seeds 0-2;
 - usage: help and usage errors: lines without a subcommand, and for each subcommand
   --help, a missing required flag, an unknown flag, a trailing extra token and a bad
@@ -47,6 +47,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 EXACT_SPECS = (
     "m=1", "m=3", "m=4", "m=40", "m=2;P=y^2", "m=2;P=-y^2+2y^3", "m=3;P=y^3,y^4", "m=3;P=y",
+    "m=1;P=y^2+1",
 )
 
 
