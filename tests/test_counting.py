@@ -689,6 +689,25 @@ def test_find_progression_matches_python_scan(p, text):
     assert found == {True, False}  # some scans run past the first block, some stop in it
 
 
+def _rebuilt_instances(forbids, p):
+    """The instance masks a _forbid_table holds, one per (a, lower, top)."""
+    return [
+        lower | 1 << a | 1 << top
+        for a, pairs in enumerate(forbids)
+        for lower, tops in pairs
+        for top in range(p)
+        if tops >> top & 1
+    ]
+
+
+@pytest.mark.parametrize("text", ["m=3", "m=4", "m=3;P=y^3,y^4", "m=2;P=-y^2+2y^3"])
+@pytest.mark.parametrize("p", [5, 11, 13, 31])
+def test_instance_masks_match_python_enumeration(p, text):
+    spec = parse_progression_spec(text)
+    rebuilt = _rebuilt_instances(_forbid_table(spec, p), p)
+    assert sorted(rebuilt) == sorted(_python_instances(spec, p))
+
+
 @pytest.mark.parametrize(
     "text", ["m=1", "m=2", "m=3", "m=4", "m=3;P=y^3,y^4", "m=2;P=-y^2+2y^3", "m=1;P=y^2+1"]
 )
@@ -700,15 +719,12 @@ def test_forbid_table_rebuilds_the_instances(p, text):
     if any(mask.bit_count() == 1 for mask in expected):
         assert forbids is None
         return
-    rebuilt = [
-        lower | 1 << a | 1 << top
-        for a, pairs in enumerate(forbids)
-        for lower, tops in pairs
-        for top in range(p)
-        if tops >> top & 1
-    ]
-    assert sorted(rebuilt) == sorted(expected)
-    assert all(pairs == sorted(pairs) for pairs in forbids)  # ascending lower
+    assert sorted(_rebuilt_instances(forbids, p)) == sorted(expected)
+    for a, pairs in enumerate(forbids):
+        lowers = [lower for lower, _ in pairs]
+        assert lowers == sorted(set(lowers))  # ascending lower, one pair each
+        # filed under the second-largest point: the rest below a, the tops above it
+        assert all(lower < 1 << a and tops >> a + 1 << a + 1 == tops for lower, tops in pairs)
 
 
 def test_exact_max_free_set_examples():
