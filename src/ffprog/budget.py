@@ -9,7 +9,7 @@ import contextlib
 import math
 import os
 
-from .errors import BudgetExceeded, UsageError
+from .errors import BudgetExceeded, UsageError, _integer
 
 DEFAULT_BUDGET = 10**9
 ENV_VAR = "FFPROG_BUDGET"
@@ -19,9 +19,7 @@ _override: int | None = None
 
 def set_budget(value: int | None) -> None:
     global _override
-    if value is not None and value <= 0:
-        raise UsageError("budget must be positive")
-    _override = value
+    _override = None if value is None else _integer(value, "budget", low=1)
 
 
 def get_budget() -> int:

@@ -30,7 +30,11 @@ class _Parser(argparse.ArgumentParser):
 
 # argparse turns a flag parser's ValueError or ArgumentTypeError into an error naming the flag
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok != "")
+    try:
+        return tuple(int(tok) for tok in text.split(",") if tok != "")
+    except ValueError:
+        message = f"expected a comma-separated list of integers, got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
 
 
 def _path_list(text: str) -> tuple[str, ...]:

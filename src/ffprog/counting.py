@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .budget import charge
-from .errors import BudgetExceeded, InvalidSpec, ParseError, UsageError
+from .errors import BudgetExceeded, InvalidSpec, ParseError, UsageError, _integer
 from .field import _MAX_VECTOR_MODULUS, FieldCtx, pow_mod
 from .harmonic import FpFunction, _require_same_ctx, _residue_mask, _shift_rows
 
@@ -48,7 +48,7 @@ class IntPolynomial:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        cs = tuple(int(c) for c in self.coeffs)
+        cs = tuple(_integer(c, "coefficient") for c in self.coeffs)
         while cs and cs[-1] == 0:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
@@ -73,7 +73,7 @@ class IntPolynomial:
 
 
 def monomial(degree: int) -> IntPolynomial:
-    return IntPolynomial((0,) * degree + (1,))
+    return IntPolynomial((0,) * _integer(degree, "degree", low=0) + (1,))
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,7 @@ class ProgressionSpec:
     polys: tuple[IntPolynomial, ...] = ()
 
     def __post_init__(self):
-        if self.m < 1:
-            raise UsageError("m must be >= 1")
+        object.__setattr__(self, "m", _integer(self.m, "m", low=1))
         object.__setattr__(self, "polys", tuple(self.polys))
 
     @property
@@ -292,7 +291,7 @@ def lambda_ap_weighted(fs, y_weight) -> complex:
 
 def dual_function(spec: ProgressionSpec, fs, omit: int) -> FpFunction:
     """F(x) = E_y prod_{j != omit} f_j(x + P_j(y) - P_omit(y)); <F, conj(f_omit)> = Lambda."""
-    if not 0 <= omit < spec.total_points:
+    if not 0 <= (omit := _integer(omit, "omit")) < spec.total_points:
         raise UsageError(f"omit={omit} outside [0, {spec.total_points})")
     ctx = _field_of(fs, spec.total_points)
     p = ctx.p
@@ -318,16 +317,15 @@ class LinearSystemSpec:
     powers: tuple[int, ...]
 
     def __post_init__(self):
-        forms = tuple(tuple(int(c) for c in row) for row in self.forms)
-        powers = tuple(int(k) for k in self.powers)
+        object.__setattr__(self, "d", _integer(self.d, "d", low=1))
+        forms = tuple(tuple(_integer(c, "form coefficient") for c in row) for row in self.forms)
+        powers = tuple(_integer(k, "power", low=1) for k in self.powers)
         object.__setattr__(self, "forms", forms)
         object.__setattr__(self, "powers", powers)
         if len(powers) != self.d:
             raise UsageError("need one power per variable")
         if not forms:
             raise UsageError("need at least one linear form")
-        if any(k < 1 for k in powers):
-            raise UsageError("powers must be >= 1")
         for row in forms:
             if len(row) != self.d:
                 raise UsageError("each form needs d coefficients")
@@ -370,8 +368,8 @@ def find_progression(A, spec: ProgressionSpec, p: int | None = None):
     field (p = 0) holds no configuration. The scan is charged before A is read.
     """
     bits = np.asarray(A)
-    if p is not None and p < 0:
-        raise UsageError(f"p must be >= 0, got {p}")
+    if p is not None:
+        p = _integer(p, "p", low=0)
     if bits.dtype == bool:
         p = len(bits) if p is None else p
         if bits.shape != (p,):

@@ -1,4 +1,6 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the one reader of a caller's integer."""
+
+import operator
 
 
 class FFProgError(Exception):
@@ -50,3 +52,15 @@ class IoFailure(FFProgError):
 
 class MalformedFixture(UsageError):
     """A fixture file does not hold p real and p imaginary parts."""
+
+
+def _integer(value, what: str, low: int | None = None) -> int:
+    """value as an int, never truncated: a float, a string or NaN is refused, as is a value
+    below `low` when it is given. numpy integers pass."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise UsageError(f"{what} must be an integer, got {value!r}") from None
+    if low is not None and n < low:
+        raise UsageError(f"{what} must be >= {low}, got {n}")
+    return n

@@ -25,17 +25,9 @@ from .counting import (
     monomial,
     require_valid,
 )
-from .errors import BoundViolation, UsageError
-from .field import (
-    FieldCtx,
-    _read_p,
-    divisors,
-    is_prime,
-    kth_power_residues,
-    make_field,
-    mult_character,
-)
-from .harmonic import FpFunction, _residue, gowers_fast
+from .errors import BoundViolation, UsageError, _integer
+from .field import FieldCtx, divisors, is_prime, kth_power_residues, make_field, mult_character
+from .harmonic import FpFunction, gowers_fast
 from . import counting
 
 
@@ -135,6 +127,9 @@ class TrialFunctionFamily:
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise UsageError(f"unknown family kind {self.kind!r}")
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", low=0))
+        if self.a is not None:
+            object.__setattr__(self, "a", _integer(self.a, "a"))
         if not 0.0 <= self.density <= 1.0:  # NaN included
             raise UsageError(f"density must be in [0, 1], got {self.density}")
 
@@ -183,22 +178,31 @@ def discorrelation_error(spec: ProgressionSpec, fs) -> float:
 
 
 def _checked_primes(primes) -> list[int]:
-    """The sorted ladder; rejects non-primes and repeats before any budget is charged."""
+    """The sorted ladder; rejects an empty one, non-primes and repeats before any budget is
+    charged."""
     out = []
     for p in primes:
-        ctx_p = _read_p(p)
-        if ctx_p % 2 == 0 or ctx_p == 1:
-            raise UsageError(f"p={ctx_p} must be an odd prime")
-        if not is_prime(ctx_p):
-            raise UsageError(f"{ctx_p} is not prime")
-        if ctx_p in out:
-            raise UsageError(f"prime {ctx_p} appears twice in the ladder")
-        out.append(ctx_p)
+        p = _integer(p, "p")
+        if p % 2 == 0 or p == 1:
+            raise UsageError(f"p={p} must be an odd prime")
+        if not is_prime(p):
+            raise UsageError(f"{p} is not prime")
+        if p in out:
+            raise UsageError(f"prime {p} appears twice in the ladder")
+        out.append(p)
+    if not out:
+        raise UsageError("need at least one prime")
     return sorted(out)
 
 
-def _error_sweep(label: str, ladder, trials: int, seed: int, errors) -> SweepReport:
-    """Median/max rows per prime of the `trials` errors that `errors(ctx)` yields, plus a decay fit."""
+def _error_sweep(what: str, primes, slots: int, trials: int, seed: int, label: str, errors):
+    """Median/max rows per prime of the `trials` errors that `errors(ctx)` yields, plus a decay
+    fit. The ladder and trials are checked first, then p^2 * slots * trials is charged for
+    every prime before the first field is built."""
+    ladder = _checked_primes(primes)
+    trials = _integer(trials, "trials", low=1)
+    for p in ladder:
+        charge(p * p * slots * trials, f"{what}(p={p})")
     rows: list[SweepRow] = []
     medians: list[tuple[int, float]] = []
     for p in ladder:
@@ -215,17 +219,14 @@ def discorrelation_sweep(
 ) -> SweepReport:
     """Median/max discorrelation error per prime over seeded trials, plus a decay fit."""
     require_valid(spec)
-    ladder = _checked_primes(primes)
     n = spec.total_points
-    for p in ladder:
-        charge(p * p * n * trials, f"discorrelation_sweep(p={p})")
 
     def errors(ctx):
         for t in range(trials):
             yield discorrelation_error(spec, [family.generate(ctx, t, j) for j in range(n)])
 
     label = f"{counting.render_progression_spec(spec)} | {family.label()}"
-    return _error_sweep(label, ladder, trials, family.seed, errors)
+    return _error_sweep("discorrelation_sweep", primes, n, trials, family.seed, label, errors)
 
 
 def counterexample_demo(ctx: FieldCtx, a: int) -> tuple[float, float]:
@@ -239,7 +240,7 @@ def counterexample_demo(ctx: FieldCtx, a: int) -> tuple[float, float]:
     p = ctx.p
     if p == 2:
         raise UsageError("the construction divides by 2")
-    a = a % p
+    a = _integer(a, "a") % p
     if a == 0:
         raise UsageError("a must be nonzero")
     charge(4 * p * p, f"counterexample_demo(p={p})")  # one gather per (x, y, slot) below
@@ -271,10 +272,10 @@ def character_norm_decay(primes, s: int, orders="all") -> SweepReport:
     (zero violations permitted; BoundViolation carries the partial report).
     Rows also record the headline bound 2 p^{-2^{-(s+1)}}.
     """
-    if s not in (2, 3):
+    if (s := _integer(s, "s")) not in (2, 3):
         raise UsageError("s must be 2 or 3")
-    if orders != "all" and int(orders) < 1:
-        raise UsageError(f"k must be >= 1, got {orders}")
+    if orders != "all":
+        orders = _integer(orders, "k", low=1)
     plan: list[tuple[int, list[int]]] = []
     for p in _checked_primes(primes):
         # one U^s evaluation costs p^{s-1} log p; charge every prime before any table is built,
@@ -284,7 +285,7 @@ def character_norm_decay(primes, s: int, orders="all") -> SweepReport:
         if orders == "all":
             ks = divisors(p - 1)
         else:
-            ks = [math.gcd(int(orders), p - 1)]
+            ks = [math.gcd(orders, p - 1)]
         charge(len(ks) * cost, f"character_norm_decay(p={p})")
         plan.append((p, ks))
     rows: list[SweepRow] = []
@@ -318,15 +319,12 @@ def weil_corollary_check(ctx: FieldCtx, k: int, r: int, points) -> tuple[float, 
     The Weil bound does not apply, and the points are refused, when the argument is a k-th
     power: each point's count among b_1..b_r minus its count among b_{r+1}..b_{2r} is
     divisible by gcd(k, p - 1), e.g. when all points coincide."""
-    if k < 1:
-        raise UsageError(f"k must be >= 1, got {k}")
-    if r < 1:
-        raise UsageError(f"r must be >= 1, got {r}")
+    k, r = _integer(k, "k", low=1), _integer(r, "r", low=1)
     p = ctx.p
-    kk = math.gcd(int(k), p - 1)
+    kk = math.gcd(k, p - 1)
     if kk == 1:
         raise UsageError(f"k={k} reduces to the principal character mod {p}")
-    bs = [_residue(b, p) for b in points]
+    bs = [_integer(b, "residue") % p for b in points]
     if len(bs) != 2 * r:
         raise UsageError(f"need 2r={2 * r} points, got {len(bs)}")
     # n(b): multiplicity of x - b in the numerator minus that in the denominator
@@ -363,13 +361,9 @@ def restricted_ap_experiment(
     Per trial draws one indicator set A from the family and measures
     | E prod 1_A(x+jy) 1_{Q_k}(y) - (1/k') E prod 1_A(x+jy) |, k' = gcd(k, p-1).
     """
-    if m < 1:
-        raise UsageError(f"m must be >= 1, got {m}")
+    m, k = _integer(m, "m", low=1), _integer(k, "k", low=1)
     if m > 4:
         raise UsageError("m <= 4 enforced (cost p^2 m per trial)")
-    ladder = _checked_primes(primes)
-    for p in ladder:
-        charge(p * p * m * trials, f"restricted_ap_experiment(p={p})")
 
     def errors(ctx):
         kp = math.gcd(k, ctx.p - 1)
@@ -379,7 +373,7 @@ def restricted_ap_experiment(
             yield abs(lambda_ap_weighted(fs, weight) - lambda_ap(fs) / kp)
 
     label = f"restricted AP m={m} k={k} | {family.label()}"
-    return _error_sweep(label, ladder, trials, family.seed, errors)
+    return _error_sweep("restricted_ap_experiment", primes, m, trials, family.seed, label, errors)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +393,7 @@ def greedy_free_set(ctx: FieldCtx, spec: ProgressionSpec, seed: int) -> tuple[li
     gather = n * n * (p - 1)  # positions in rel: built once, then gathered on each accept
     terms = gather + (p - 1) * p * n  # rel, and the closing find_progression scan
     charge(terms, what)
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(p, 0x67EE))
+    ss = np.random.SeedSequence(entropy=_integer(seed, "seed", low=0), spawn_key=(p, 0x67EE))
     rng = np.random.Generator(np.random.Philox(ss))
     order = rng.permutation(p)
     # column (j, y) of rel: where each slot sits, relative to e, when slot j is at e (y != 0),

@@ -1,13 +1,12 @@
 """Exact arithmetic in F_p: primality, primitive roots, power residues, characters."""
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import BoundViolation, UsageError
+from .errors import BoundViolation, UsageError, _integer
 
 # Largest modulus for which int64 products of two residues cannot overflow (p^2 < 2^63).
 _MAX_VECTOR_MODULUS = 3_037_000_499
@@ -86,16 +85,8 @@ class FieldCtx:
         return t
 
 
-def _read_p(p) -> int:
-    """The modulus p as an int; refuses any other value (a float, a string)."""
-    try:
-        return operator.index(p)
-    except TypeError:
-        raise UsageError(f"p must be an integer, got {p!r}") from None
-
-
 def make_field(p: int) -> FieldCtx:
-    p = _read_p(p)
+    p = _integer(p, "p")
     if p > _MAX_VECTOR_MODULUS:
         raise UsageError(f"p={p} is above {_MAX_VECTOR_MODULUS}, the int64 limit of the tables")
     if p < 2 or not is_prime(p):
@@ -105,8 +96,7 @@ def make_field(p: int) -> FieldCtx:
 
 def pow_mod(x, k: int, p: int) -> np.ndarray:
     """x^k mod p elementwise on int64 residues, by square-and-multiply (p^2 < 2^63)."""
-    if k < 0:
-        raise UsageError(f"k must be >= 0, got {k}")
+    k = _integer(k, "k", low=0)
     base = np.asarray(x, dtype=np.int64) % p
     out = np.full_like(base, 1 % p)
     while k:
@@ -120,8 +110,7 @@ def pow_mod(x, k: int, p: int) -> np.ndarray:
 def kth_power_residues(ctx: FieldCtx, k: int) -> np.ndarray:
     """Q_k = {x^k : x in F_p^x} as a read-only length-p bitset: the powers of g^gcd(k, p-1),
     checked against the x^k scan."""
-    if k < 1:
-        raise UsageError("k must be >= 1")
+    k = _integer(k, "k", low=1)
     p = ctx.p
     d = math.gcd(k, p - 1)
     elements = np.zeros(p, dtype=bool)
@@ -139,8 +128,7 @@ def mult_character(ctx: FieldCtx, k: int) -> np.ndarray:
 
     Requires k | p-1; normalize with gcd(k, p-1) first if needed.
     """
-    if k < 1:
-        raise UsageError("k must be >= 1")
+    k = _integer(k, "k", low=1)
     p = ctx.p
     if (p - 1) % k != 0:
         raise UsageError(f"k={k} does not divide p-1={p - 1}")
@@ -153,7 +141,7 @@ def mult_character(ctx: FieldCtx, k: int) -> np.ndarray:
 
 def residue_indicator_via_characters(ctx: FieldCtx, k: int, x: int) -> complex:
     """1_{Q_k}(x) recovered as (1 + chi(x) + ... + chi(x)^{k-1})/k - (1/k)*1_{x=0}."""
-    x = x % ctx.p
+    x = _integer(x, "x") % ctx.p
     cx = mult_character(ctx, k)[x]
     total = 1.0 + 0j  # the j=0 term is literally 1, also at x=0
     power = 1.0 + 0j

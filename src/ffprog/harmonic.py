@@ -7,7 +7,6 @@ coefficient at alpha is E_x f(x) e_p(alpha x) with e_p(t) = exp(2*pi*i*t/p).
 import itertools
 import json
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -15,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .budget import charge_power
-from .errors import MalformedFixture, UsageError
+from .errors import MalformedFixture, UsageError, _integer
 from .field import FieldCtx, make_field
 
 BOUND_TOL = 1e-12
@@ -52,7 +51,8 @@ class FpFunction:
 
     def shift(self, t: int) -> "FpFunction":
         """x -> f(x + t)."""
-        return FpFunction(self.ctx, np.roll(self.values, -(t % self.p)), self.bounded)
+        shifted = np.roll(self.values, -(_integer(t, "t") % self.p))
+        return FpFunction(self.ctx, shifted, self.bounded)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -85,19 +85,11 @@ def constant(ctx: FieldCtx, c: complex = 1.0) -> FpFunction:
     return FpFunction(ctx, np.full(ctx.p, c, dtype=np.complex128), bounded=abs(c) <= 1 + BOUND_TOL)
 
 
-def _residue(x, p: int) -> int:
-    """The integer x read mod p; refuses any other value (a float, a string)."""
-    try:
-        return operator.index(x) % p
-    except TypeError:
-        raise UsageError(f"residues must be integers, got {x}") from None
-
-
 def _residue_mask(values, p: int) -> np.ndarray:
     """Length-p boolean mask of the integers in values, read mod p; refuses any other value."""
     mask = np.zeros(p, dtype=bool)
     for x in values:
-        mask[_residue(x, p)] = True
+        mask[_integer(x, "residue") % p] = True
     return mask
 
 
@@ -107,7 +99,7 @@ def indicator(ctx: FieldCtx, subset) -> FpFunction:
 
 def additive_char(ctx: FieldCtx, a: int) -> FpFunction:
     """x -> e_p(a x)."""
-    idx = (a % ctx.p) * np.arange(ctx.p, dtype=np.int64) % ctx.p
+    idx = (_integer(a, "a") % ctx.p) * np.arange(ctx.p, dtype=np.int64) % ctx.p
     return FpFunction(ctx, ctx.twiddle[idx], bounded=True)
 
 
@@ -193,7 +185,7 @@ def inner(f: FpFunction, g: FpFunction) -> complex:
 
 def mult_derivative(f: FpFunction, h: int) -> FpFunction:
     """Delta_h f: x -> f(x+h) conj(f(x)); preserves 1-boundedness."""
-    vals = np.roll(f.values, -(h % f.p)) * np.conjugate(f.values)
+    vals = np.roll(f.values, -(_integer(h, "h") % f.p)) * np.conjugate(f.values)
     return FpFunction(f.ctx, vals, bounded=f.bounded)
 
 
@@ -250,8 +242,7 @@ def _gowers_box_average(values: np.ndarray, s: int) -> float:
 
 def gowers_direct(f: FpFunction, s: int) -> float:
     """U^s norm by direct averaging over s-dimensional parallelepipeds, cost O(p^{s+1})."""
-    if s < 1:
-        raise UsageError("s must be >= 1")
+    s = _integer(s, "s", low=1)
     charge_power(f.p, s + 1, 1, f"gowers_direct(s={s}, p={f.p})")
     avg = _gowers_box_average(f.values, s)
     # roundoff can leave a tiny negative; the average is provably nonnegative
@@ -274,8 +265,7 @@ def gowers_fast(f: FpFunction, s: int) -> float:
     pocketfft's multi-row path, where fft(x, L) zero-fills one row at a time. The cost and
     the result are those of one _dft_sum_fast call per row.
     """
-    if s < 2:
-        raise UsageError("gowers_fast needs s >= 2")
+    s = _integer(s, "s", low=2)
     p = f.p
     logp = max(1, math.ceil(math.log2(p)))
     charge_power(p, s - 1, logp, f"gowers_fast(s={s}, p={p})")

@@ -25,6 +25,16 @@ def test_set_budget_overrides_and_resets():
         set_budget(0)
 
 
+def test_set_budget_refuses_nan():
+    # NaN used to be kept, and every charge then passed, since terms > nan is False
+    with pytest.raises(UsageError, match="budget must be an integer, got nan"):
+        set_budget(float("nan"))
+    assert get_budget() == DEFAULT_BUDGET
+    charge(DEFAULT_BUDGET, "test")
+    with pytest.raises(BudgetExceeded):
+        charge(DEFAULT_BUDGET + 1, "test")
+
+
 def test_charge_power_refuses_exactly_what_charge_refuses():
     # the log-space refusal only ever fires where the exact charge would fail too
     for limit in (1, 7, 100, 10**9, 2**40 - 1):

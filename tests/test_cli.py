@@ -585,6 +585,26 @@ REFUSALS = {
         ["search", "--spec", "m=", "--p", "7"],
         "ParseError: expected integer (at offset 2)",
     ),
+    "empty-ladder-discorrelate": (
+        ["discorrelate", "--spec", "m=3", "--primes", ","],
+        "UsageError: need at least one prime",
+    ),
+    "empty-ladder-restricted-ap": (
+        ["restricted-ap", "--primes", ",", "--k", "2"],
+        "UsageError: need at least one prime",
+    ),
+    "empty-ladder-chardecay": (
+        ["chardecay", "--primes", ","],
+        "UsageError: need at least one prime",
+    ),
+    "ladder-not-integers": (
+        ["chardecay", "--primes", "1x1"],
+        "UsageError: argument --primes: expected a comma-separated list of integers, got '1x1'",
+    ),
+    "gowers-fast-s-1": (
+        ["gowers", "--fixture", "{f7}", "--s", "1"],
+        "UsageError: s must be >= 2, got 1",
+    ),
 }
 
 
@@ -597,8 +617,8 @@ def test_refusals_are_usage_errors(argv, line, tmp_path, capsys):
     argv = [arg.format(**paths) for arg in argv]
     assert main(argv) == 1
     assert capsys.readouterr() == ("", f"error: {line}\n")
-    args = build_parser().parse_args(argv)
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(ValueError) as info:  # a flag's refusal comes from the parser itself
+        args = build_parser().parse_args(argv)
         args.run(args)
     assert f"{type(info.value).__name__}: {info.value}" == line
 

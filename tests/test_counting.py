@@ -612,7 +612,7 @@ def test_find_progression_input_handling():
 @pytest.mark.parametrize("residues", [[0.5, 1.7, 3.2], np.array([0.0, 1.0, 2.0]), ["0"]])
 def test_find_progression_refuses_non_integer_residues(residues):
     # truncated, 0.5, 1.7, 3.2 would read as {0, 1, 3}, which holds the progression (1, 2)
-    with pytest.raises(UsageError, match="residues must be integers, got "):
+    with pytest.raises(UsageError, match="residue must be an integer, got "):
         find_progression(residues, ProgressionSpec(3), p=5)
     assert find_progression(np.array([0, 1, 2]), ProgressionSpec(3), p=5) == (0, 1)
 

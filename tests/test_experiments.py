@@ -8,11 +8,14 @@ from ffprog import (
     BoundViolation,
     BudgetExceeded,
     FpFunction,
+    IntPolynomial,
     InvalidSpec,
+    LinearSystemSpec,
     ProgressionSpec,
     SweepReport,
     TrialFunctionFamily,
     UsageError,
+    additive_char,
     character_norm_decay,
     constant,
     counterexample_demo,
@@ -20,18 +23,23 @@ from ffprog import (
     discorrelation_sweep,
     exact_max_free_set,
     find_progression,
+    gowers_direct,
     gowers_fast,
     greedy_free_set,
+    indicator,
+    kth_power_residues,
     make_field,
     monomial,
     mult_character,
     mult_derivative,
     parse_progression_spec,
+    residue_indicator_via_characters,
     restricted_ap_experiment,
     set_budget,
     weil_corollary_check,
 )
 from ffprog import counting, experiments
+from ffprog.field import pow_mod
 
 SPEC34 = ProgressionSpec(3, (monomial(3), monomial(4)))
 
@@ -262,7 +270,7 @@ def test_weil_examples():
 def test_weil_refuses_non_integer_points():
     # truncated, 0.5 and 1.7 would read as the points 0 and 1
     ctx = make_field(101)
-    with pytest.raises(UsageError, match="residues must be integers, got 0.5"):
+    with pytest.raises(UsageError, match="residue must be an integer, got 0.5"):
         weil_corollary_check(ctx, 2, 1, [0.5, 1.7])
     as_ints = weil_corollary_check(ctx, 2, 1, (0, 1))
     assert weil_corollary_check(ctx, 2, 1, np.array([0, 102], dtype=np.int64)) == as_ints
@@ -505,3 +513,120 @@ def test_quadratic_phase_family_fixed_a():
     xs = np.arange(13, dtype=np.int64)
     expected = ctx.twiddle[5 * (xs * xs % 13) % 13]
     assert np.abs(f.values - expected).max() == 0.0
+
+
+# Every integer a caller passes is read by one helper: a float, a string or NaN is refused by
+# name and shown as given, never truncated (k = 2.5 used to check k = 2). Each entry maps a
+# value to one call, and names the parameter its refusal names.
+F7 = make_field(7)
+ON_F7 = TrialFunctionFamily(kind="random_indicator", seed=1)
+INTEGER_SITES = {
+    "make_field": ("p", make_field),
+    "set_budget": ("budget", set_budget),
+    "ProgressionSpec-m": ("m", lambda v: ProgressionSpec(m=v)),
+    "IntPolynomial": ("coefficient", lambda v: IntPolynomial((1, v))),
+    "LinearSystemSpec-d": ("d", lambda v: LinearSystemSpec(d=v, forms=((1,),), powers=(1,))),
+    "LinearSystemSpec-form": (
+        "form coefficient", lambda v: LinearSystemSpec(d=1, forms=((v,),), powers=(1,))
+    ),
+    "LinearSystemSpec-power": (
+        "power", lambda v: LinearSystemSpec(d=1, forms=((1,),), powers=(v,))
+    ),
+    "find_progression-p": ("p", lambda v: find_progression([0, 1], ProgressionSpec(3), p=v)),
+    # find_progression reads its residues through indicator's mask (test_counting.py)
+    "indicator": ("residue", lambda v: indicator(F7, [0, v])),
+    "additive_char": ("a", lambda v: additive_char(F7, v)),
+    "shift": ("t", lambda v: constant(F7).shift(v)),  # 2.5 used to shift by 2
+    "mult_derivative": ("h", lambda v: mult_derivative(constant(F7), v)),  # 2.7 read as 2
+    "monomial": ("degree", monomial),
+    "dual_function": (
+        "omit", lambda v: counting.dual_function(ProgressionSpec(3), [constant(F7)] * 3, v)
+    ),
+    "pow_mod": ("k", lambda v: pow_mod(np.arange(7), v, 7)),
+    "kth_power_residues": ("k", lambda v: kth_power_residues(F7, v)),
+    "mult_character": ("k", lambda v: mult_character(F7, v)),
+    "residue_indicator-k": ("k", lambda v: residue_indicator_via_characters(F7, v, 1)),
+    "residue_indicator-x": ("x", lambda v: residue_indicator_via_characters(F7, 2, v)),
+    "gowers_direct": ("s", lambda v: gowers_direct(constant(F7), v)),
+    "gowers_fast": ("s", lambda v: gowers_fast(constant(F7), v)),
+    "weil-k": ("k", lambda v: weil_corollary_check(F7, v, 1, [0, 1])),
+    "weil-r": ("r", lambda v: weil_corollary_check(F7, 2, v, [0, 1])),
+    "weil-point": ("residue", lambda v: weil_corollary_check(F7, 2, 1, [0, v])),
+    "chardecay-p": ("p", lambda v: character_norm_decay([11, v], 2)),
+    "chardecay-s": ("s", lambda v: character_norm_decay([11], v)),
+    "chardecay-k": ("k", lambda v: character_norm_decay([11], 2, v)),
+    "discorrelate-p": ("p", lambda v: discorrelation_sweep([v], SPEC34, ON_F7, 1)),
+    "discorrelate-trials": ("trials", lambda v: discorrelation_sweep([11], SPEC34, ON_F7, v)),
+    "restricted-p": ("p", lambda v: restricted_ap_experiment([v], 3, 2, ON_F7, 1)),
+    "restricted-m": ("m", lambda v: restricted_ap_experiment([11], v, 2, ON_F7, 1)),
+    "restricted-k": ("k", lambda v: restricted_ap_experiment([11], 3, v, ON_F7, 1)),
+    "restricted-trials": ("trials", lambda v: restricted_ap_experiment([11], 3, 2, ON_F7, v)),
+    "counterexample": ("a", lambda v: counterexample_demo(F7, v)),
+    "family-seed": ("seed", lambda v: TrialFunctionFamily(kind="random_indicator", seed=v)),
+    "family-a": ("a", lambda v: TrialFunctionFamily(kind="quadratic_phase", seed=0, a=v)),
+    "greedy-seed": ("seed", lambda v: greedy_free_set(F7, ProgressionSpec(3), v)),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, "3", math.nan, 3.0], ids=["2.5", "'3'", "nan", "3.0"])
+@pytest.mark.parametrize("site", INTEGER_SITES)
+def test_integer_parameters_refuse_other_values(site, value):
+    what, call = INTEGER_SITES[site]
+    try:
+        with pytest.raises(UsageError) as info:
+            call(value)
+    finally:
+        set_budget(None)
+    assert str(info.value) == f"{what} must be an integer, got {value!r}"
+
+
+# (entry point, value below its range, the refusal): a plain range check or numpy's own
+# ValueError used to answer these
+BELOW_RANGE = {
+    "set_budget": (lambda: set_budget(0), "budget must be >= 1, got 0"),
+    "gowers_fast": (lambda: gowers_fast(constant(F7), 1), "s must be >= 2, got 1"),
+    "discorrelate-trials": (
+        lambda: discorrelation_sweep([11], SPEC34, ON_F7, 0), "trials must be >= 1, got 0"
+    ),
+    "restricted-trials": (
+        lambda: restricted_ap_experiment([11], 3, 2, ON_F7, 0), "trials must be >= 1, got 0"
+    ),
+    "family-seed": (
+        lambda: TrialFunctionFamily(kind="random_indicator", seed=-1), "seed must be >= 0, got -1"
+    ),
+    "greedy-seed": (
+        lambda: greedy_free_set(F7, ProgressionSpec(3), -1), "seed must be >= 0, got -1"
+    ),
+    "LinearSystemSpec-power": (
+        lambda: LinearSystemSpec(d=1, forms=((1,),), powers=(0,)), "power must be >= 1, got 0"
+    ),
+}
+
+
+@pytest.mark.parametrize("site", BELOW_RANGE)
+def test_integer_parameters_refuse_values_below_their_range(site):
+    call, message = BELOW_RANGE[site]
+    with pytest.raises(UsageError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda: discorrelation_sweep([], SPEC34, ON_F7, 1),
+    lambda: restricted_ap_experiment([], 3, 2, ON_F7, 1),
+    lambda: character_norm_decay([], 2),
+], ids=["discorrelation_sweep", "restricted_ap_experiment", "character_norm_decay"])
+def test_empty_ladders_are_refused(sweep):
+    with pytest.raises(UsageError, match="^need at least one prime$"):
+        sweep()
+
+
+def test_integer_parameters_take_numpy_integers():
+    # what the helper reads is the int it stands for, so outputs do not move
+    fam = TrialFunctionFamily(kind="quadratic_phase", seed=np.int64(3), a=np.int64(5))
+    assert (type(fam.seed), type(fam.a), fam.label()) == (int, int, "quadratic_phase(a=5)")
+    assert ProgressionSpec(m=np.int64(3)) == ProgressionSpec(3)
+    assert IntPolynomial((np.int64(0), np.int32(2))) == IntPolynomial((0, 2))
+    assert np.array_equal(mult_character(F7, np.int64(3)), mult_character(F7, 3))
+    assert gowers_fast(constant(F7), np.int64(3)) == gowers_fast(constant(F7), 3)
+    assert character_norm_decay([11], np.int64(2), np.int64(5)) == character_norm_decay([11], 2, 5)

@@ -80,7 +80,7 @@ def test_indicator_reads_integer_residues_mod_p():
     values = indicator(ctx, [0, -2, 8, np.int64(13)]).values
     assert values.tolist() == [1, 0, 0, 1, 0]
     for subset in ([2.7], [np.float64(1.0)]):
-        with pytest.raises(UsageError, match="residues must be integers, got "):
+        with pytest.raises(UsageError, match="residue must be an integer, got "):
             indicator(ctx, subset)
 
 

@@ -16,8 +16,8 @@ do. The groups:
   (non-primes are refused, and so is p = 41, past the cap);
 - budget: FFPROG_BUDGET refusals, before any table and in the middle of a search, and
   the two budgets either side of one node charge of the exact search;
-- other: the remaining subcommands, their refusals (a prime repeated in a ladder among
-  them) and a warning;
+- other: the remaining subcommands, their refusals (a prime repeated in a ladder, an
+  empty or non-integer ladder and `gowers --s 1` among them) and a warning;
 - gowers: `gowers --s 2|3|4 --strategy direct|fast` on 7-, 13- and 101-point fixtures
   (the 13-point one is the quadratic character, with its exact zero), leaving out what
   the default budget refuses, and `chardecay --s 3 --format json` on a four-prime ladder;
@@ -116,6 +116,11 @@ def other_commands(bench, tmp: Path):
     yield None, ["search", "--spec", "m=3;P=y^3,y^4", "--p", "101", "--mode", "greedy"]
     yield None, ["search", "--spec", "m=3", "--p", "1000003", "--mode", "exact"]
     yield None, ["search", "--spec", "m=3;P=y^", "--p", "11"]
+    yield None, ["discorrelate", "--spec", "m=3", "--primes", ","]
+    yield None, ["restricted-ap", "--primes", ",", "--k", "2"]
+    yield None, ["chardecay", "--primes", ","]
+    yield None, ["chardecay", "--primes", "1x1"]
+    yield None, ["gowers", "--fixture", f101, "--s", "1"]
 
 
 def gowers_commands(bench, tmp: Path):
