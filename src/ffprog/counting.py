@@ -600,25 +600,12 @@ def parse_progression_spec(text: str) -> ProgressionSpec:
 
 
 def render_poly(P: IntPolynomial) -> str:
-    if not P.coeffs:
-        return "0"
-    parts = []
+    out = ""
     for d in range(len(P.coeffs) - 1, -1, -1):
-        c = P.coeffs[d]
-        if c == 0:
-            continue
-        mag = abs(c)
-        if d == 0:
-            body = str(mag)
-        elif d == 1:
-            body = "y" if mag == 1 else f"{mag}y"
-        else:
-            body = f"y^{d}" if mag == 1 else f"{mag}y^{d}"
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append(("-" if c < 0 else "+") + body)
-    return "".join(parts)
+        if c := P.coeffs[d]:  # sign, magnitude unless a unit on y^d, monomial
+            out += ("-" if c < 0 else "+") + ("" if abs(c) == 1 and d else str(abs(c)))
+            out += "" if d == 0 else "y" if d == 1 else f"y^{d}"
+    return out.removeprefix("+") or "0"
 
 
 def render_progression_spec(spec: ProgressionSpec) -> str:

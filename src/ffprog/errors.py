@@ -55,9 +55,11 @@ class MalformedFixture(UsageError):
 
 
 def _integer(value, what: str, low: int | None = None) -> int:
-    """value as an int, never truncated: a float, a string or NaN is refused, as is a value
-    below `low` when it is given. numpy integers pass."""
+    """value as an int, never truncated: a float, a string, a bool or NaN is refused, as is a
+    value below `low` when it is given. numpy integers pass."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         n = operator.index(value)
     except TypeError:
         raise UsageError(f"{what} must be an integer, got {value!r}") from None

@@ -9,7 +9,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -53,22 +53,15 @@ class SweepReport:
     fit: DecayFit | None = None
 
     def to_json(self) -> str:
-        obj = {
-            "spec": self.spec,
-            "rows": [
-                {"p": r.p, "stat": r.stat, "value": r.value, "trials": r.trials, "seed": r.seed}
-                for r in self.rows
-            ],
-            "fit": None if self.fit is None else {"c_hat": self.fit.c_hat, "r2": self.fit.r2},
-        }
+        fit = None if self.fit is None else vars(self.fit)
+        obj = {"spec": self.spec, "rows": [vars(r) for r in self.rows], "fit": fit}
         return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["p", "stat", "value", "trials", "seed"])
-        for r in self.rows:
-            writer.writerow([r.p, r.stat, repr(r.value), r.trials, r.seed])
+        writer.writerow(f.name for f in fields(SweepRow))
+        writer.writerows(vars(r).values() for r in self.rows)  # csv writes a float as repr
         return buf.getvalue()
 
     def to_pretty(self) -> str:
@@ -111,6 +104,11 @@ def fit_decay(points: list[tuple[int, float]]) -> DecayFit | None:
 FAMILY_KINDS = ("random_unimodular", "random_indicator", "quadratic_phase", "character_phase")
 
 
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    """The Philox generator keyed by (seed, *key): distinct keys never share a stream."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+
+
 @dataclass(frozen=True)
 class TrialFunctionFamily:
     """Deterministic generator of 1-bounded trial functions.
@@ -133,13 +131,9 @@ class TrialFunctionFamily:
         if not 0.0 <= self.density <= 1.0:  # NaN included
             raise UsageError(f"density must be in [0, 1], got {self.density}")
 
-    def _rng(self, p: int, trial: int, slot: int) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(p, trial, slot))
-        return np.random.Generator(np.random.Philox(ss))
-
     def generate(self, ctx: FieldCtx, trial: int, slot: int = 0) -> FpFunction:
         p = ctx.p
-        rng = self._rng(p, trial, slot)
+        rng = _stream(self.seed, p, _integer(trial, "trial", low=0), _integer(slot, "slot", low=0))
         if self.kind == "random_unimodular":
             vals = np.exp(2j * np.pi * rng.random(p))
         elif self.kind == "random_indicator":
@@ -393,9 +387,7 @@ def greedy_free_set(ctx: FieldCtx, spec: ProgressionSpec, seed: int) -> tuple[li
     gather = n * n * (p - 1)  # positions in rel: built once, then gathered on each accept
     terms = gather + (p - 1) * p * n  # rel, and the closing find_progression scan
     charge(terms, what)
-    ss = np.random.SeedSequence(entropy=_integer(seed, "seed", low=0), spawn_key=(p, 0x67EE))
-    rng = np.random.Generator(np.random.Philox(ss))
-    order = rng.permutation(p)
+    order = _stream(_integer(seed, "seed", low=0), p, 0x67EE).permutation(p)
     # column (j, y) of rel: where each slot sits, relative to e, when slot j is at e (y != 0),
     # sorted, with each repeated point moved to 0, so the slots it misses are distinct points
     offsets = np.stack(config_offsets(spec, p))[:, 1:]

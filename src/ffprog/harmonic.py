@@ -171,7 +171,7 @@ def norms(f: FpFunction, s: float) -> tuple[float, float]:
     if s == math.inf:
         m = float(a.max())
         return m, m
-    if s < 1:
+    if not s >= 1:  # NaN included
         raise UsageError("s must be >= 1 or infinity")
     powered = a**s
     return float(powered.mean() ** (1.0 / s)), float(powered.sum() ** (1.0 / s))

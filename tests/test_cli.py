@@ -21,7 +21,7 @@ from ffprog import (
     make_field,
     set_budget,
 )
-from ffprog import experiments, harmonic
+from ffprog import counting, experiments, harmonic
 from ffprog.cli import DEFAULT_SEED, build_parser, main
 from ffprog.counting import (
     MAX_EXPONENT,
@@ -106,6 +106,25 @@ def test_render_parse_round_trip(spec):
 
 def test_render_spec_exported():
     assert render_progression_spec(ProgressionSpec(3, (IntPolynomial((0, 0, 0, 1)),))) == "m=3;P=y^3"
+
+
+# the round trip above parses `1y` and `y` alike, so the exact strings are pinned here
+RENDERED = {
+    (): "0",
+    (-1,): "-1",
+    (0, 1): "y",
+    (0, -1): "-y",
+    (1, 0, 1): "y^2+1",
+    (0, 0, -1, 2): "2y^3-y^2",
+    (3, -1): "-y+3",
+}
+
+
+@pytest.mark.parametrize("coeffs", RENDERED, ids=RENDERED.values())
+def test_render_poly_exact_strings(coeffs):
+    assert counting.render_poly(IntPolynomial(coeffs)) == RENDERED[coeffs]
+    spec = ProgressionSpec(3, (IntPolynomial(coeffs), IntPolynomial((0, 0, 0, 1))))
+    assert render_progression_spec(spec) == f"m=3;P={RENDERED[coeffs]},y^3"
 
 
 # --- subcommands -----------------------------------------------------------

@@ -39,6 +39,7 @@ from ffprog import (
     weil_corollary_check,
 )
 from ffprog import counting, experiments
+from ffprog.experiments import DecayFit, SweepRow
 from ffprog.field import pow_mod
 
 SPEC34 = ProgressionSpec(3, (monomial(3), monomial(4)))
@@ -143,6 +144,32 @@ def test_sweep_report_serialization_round_trip():
     csv_text = rep.to_csv()
     assert csv_text.splitlines()[0] == "p,stat,value,trials,seed"
     assert len(csv_text.splitlines()) == len(rep.rows) + 1
+
+
+# nan, inf and -0.0 values, and a stat that csv must quote; a fit of None and a fit
+PINNED_ROWS = [
+    SweepRow(11, 'say "a, b"', math.nan, 2, 5),
+    SweepRow(13, "max_error", math.inf, 2, 5),
+    SweepRow(17, "median_error", -0.0, 2, 5),
+]
+PINNED_JSON_ROWS = (
+    '"rows":[{"p":11,"seed":5,"stat":"say \\"a, b\\"","trials":2,"value":NaN},'
+    '{"p":13,"seed":5,"stat":"max_error","trials":2,"value":Infinity},'
+    '{"p":17,"seed":5,"stat":"median_error","trials":2,"value":-0.0}],'
+    '"spec":"m=3 | random_unimodular"}\n'
+)
+
+
+@pytest.mark.parametrize("fit, json_fit", [
+    (None, "null"), (DecayFit(0.5, -math.inf), '{"c_hat":0.5,"r2":-Infinity}'),
+], ids=["no-fit", "fit"])
+def test_sweep_report_writers_exact_bytes(fit, json_fit):
+    rep = SweepReport(spec="m=3 | random_unimodular", rows=PINNED_ROWS, fit=fit)
+    assert rep.to_json() == '{"fit":' + json_fit + "," + PINNED_JSON_ROWS
+    assert rep.to_csv() == (
+        'p,stat,value,trials,seed\n11,"say ""a, b""",nan,2,5\n13,max_error,inf,2,5\n'
+        "17,median_error,-0.0,2,5\n"
+    )
 
 
 def test_counterexample_exhaustive_small():
@@ -515,9 +542,9 @@ def test_quadratic_phase_family_fixed_a():
     assert np.abs(f.values - expected).max() == 0.0
 
 
-# Every integer a caller passes is read by one helper: a float, a string or NaN is refused by
-# name and shown as given, never truncated (k = 2.5 used to check k = 2). Each entry maps a
-# value to one call, and names the parameter its refusal names.
+# Every integer a caller passes is read by one helper: a float, a string, a bool or NaN is
+# refused by name and shown as given, never truncated (k = 2.5 used to check k = 2). Each
+# entry maps a value to one call, and names the parameter its refusal names.
 F7 = make_field(7)
 ON_F7 = TrialFunctionFamily(kind="random_indicator", seed=1)
 INTEGER_SITES = {
@@ -565,10 +592,14 @@ INTEGER_SITES = {
     "family-seed": ("seed", lambda v: TrialFunctionFamily(kind="random_indicator", seed=v)),
     "family-a": ("a", lambda v: TrialFunctionFamily(kind="quadratic_phase", seed=0, a=v)),
     "greedy-seed": ("seed", lambda v: greedy_free_set(F7, ProgressionSpec(3), v)),
+    "generate-trial": ("trial", lambda v: ON_F7.generate(F7, v)),
+    "generate-slot": ("slot", lambda v: ON_F7.generate(F7, 0, v)),
 }
 
 
-@pytest.mark.parametrize("value", [2.5, "3", math.nan, 3.0], ids=["2.5", "'3'", "nan", "3.0"])
+@pytest.mark.parametrize(
+    "value", [2.5, "3", math.nan, 3.0, True], ids=["2.5", "'3'", "nan", "3.0", "True"]
+)
 @pytest.mark.parametrize("site", INTEGER_SITES)
 def test_integer_parameters_refuse_other_values(site, value):
     what, call = INTEGER_SITES[site]
@@ -600,6 +631,8 @@ BELOW_RANGE = {
     "LinearSystemSpec-power": (
         lambda: LinearSystemSpec(d=1, forms=((1,),), powers=(0,)), "power must be >= 1, got 0"
     ),
+    "generate-trial": (lambda: ON_F7.generate(F7, -1), "trial must be >= 0, got -1"),
+    "generate-slot": (lambda: ON_F7.generate(F7, 0, -1), "slot must be >= 0, got -1"),
 }
 
 

@@ -97,6 +97,13 @@ def test_norms_examples():
     assert abs(inner(f, f) - norms(f, 2)[0] ** 2) < 1e-12
 
 
+@pytest.mark.parametrize("s", [0.5, -math.inf, math.nan], ids=["0.5", "-inf", "nan"])
+def test_norms_refuse_s_below_one_and_nan(s):
+    # NaN fails every comparison, so the check must be `not s >= 1`, not `s < 1`
+    with pytest.raises(UsageError, match=r"^s must be >= 1 or infinity$"):
+        norms(constant(make_field(7)), s)
+
+
 def test_mult_derivative():
     ctx = make_field(11)
     f = random_unimodular(ctx, 1)

@@ -17,7 +17,8 @@ do. The groups:
 - budget: FFPROG_BUDGET refusals, before any table and in the middle of a search, and
   the two budgets either side of one node charge of the exact search;
 - other: the remaining subcommands, their refusals (a prime repeated in a ladder, an
-  empty or non-integer ladder and `gowers --s 1` among them) and a warning;
+  empty or non-integer ladder and `gowers --s 1` among them), a warning, and a
+  discorrelation report, as csv, pretty and json, whose label renders every kind of term;
 - gowers: `gowers --s 2|3|4 --strategy direct|fast` on 7-, 13- and 101-point fixtures
   (the 13-point one is the quadratic character, with its exact zero), leaving out what
   the default budget refuses, and `chardecay --s 3 --format json` on a four-prime ladder;
@@ -121,6 +122,9 @@ def other_commands(bench, tmp: Path):
     yield None, ["chardecay", "--primes", ","]
     yield None, ["chardecay", "--primes", "1x1"]
     yield None, ["gowers", "--fixture", f101, "--s", "1"]
+    for fmt in ("csv", "pretty", "json"):  # a label with negative, unit and constant terms
+        yield None, ["discorrelate", "--spec", "m=2;P=-y^2+2y^3,3-y+y^4", "--primes",
+                     "11,13,17", "--trials", "2", "--format", fmt]
 
 
 def gowers_commands(bench, tmp: Path):
