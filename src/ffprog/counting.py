@@ -164,12 +164,18 @@ def require_valid(spec: ProgressionSpec) -> None:
         )
 
 
-def config_offsets(spec: ProgressionSpec, p: int) -> list[np.ndarray]:
-    """Per-slot offset arrays: slot j at difference y sits at x + offsets[j][y]."""
+@lru_cache(maxsize=16)
+def config_offsets(spec: ProgressionSpec, p: int) -> tuple[np.ndarray, ...]:
+    """Per-slot offset arrays: slot j at difference y sits at x + offsets[j][y].
+
+    Built once per (spec, p): a sweep scans the same configuration on every trial. The
+    cached arrays are shared, so they are read-only.
+    """
     y = np.arange(p, dtype=np.int64)
-    offs = [(j * y) % p for j in range(spec.m)]
-    offs.extend(P.values_mod(p) for P in spec.polys)
-    return offs
+    offs = [(j * y) % p for j in range(spec.m)] + [P.values_mod(p) for P in spec.polys]
+    for off in offs:
+        off.flags.writeable = False
+    return tuple(offs)
 
 
 def _warn_on_degree_collapse(spec: ProgressionSpec, p: int) -> None:
@@ -186,7 +192,11 @@ def _warn_on_degree_collapse(spec: ProgressionSpec, p: int) -> None:
 # each in complex128) stay in L2. A 5-slot scan at p = 809 / 1451 on a 2-vCPU Xeon (2 MiB L2
 # per core) took 2.6 / 2.6 ns per slot-entry with strips of 2^14 or 2^15 entries, 3.2-4.1 ns
 # with 2^12-2^13, 3.5-3.9 ns with 2^17, and 4.2 / 4.9 ns gathering whole blocks; do not go
-# back to whole-block gathers. Below p ~ 250 a block fits in L2 and strips gain nothing.
+# back to whole-block gathers. Below p ~ 250 a block fits in L2 and strips gain nothing; there
+# the broadcast slot 0 (see _slot_reduce) saves more than their calls cost: lambda_poly_and_ap
+# on m=3;P=y^3,y^4 took 0.117 / 0.337 ms at p = 101 / 211 with slot 0 gathered and copied,
+# 0.084 / 0.279 ms broadcast. Folding a gathered slot 0 with ufunc(g0, g1, out=part) instead
+# of the copy took dual_function at p = 101 from 0.095 to 0.20 ms, so shifted scans copy it.
 # np.take(view, rows, axis=0, out=...) is no way to gather in place: it first copies the
 # whole p x p shift view (~60x slower than indexing, per strip at p = 809).
 _STRIP = 1 << 14
@@ -203,9 +213,13 @@ def _slot_reduce(arrays, offsets, ufunc, prefix=None):
     a_j is arrays[j] and o_j is offsets[j]. This is the one (x, y) scan behind Lambda, dual
     functions, find_progression, the exact search's instance table and the counterexample
     identity. A block holds about 2^21 entries, and it is the only full-size array: it is
-    filled one strip of about _STRIP entries at a time, slot 0's gather copied in and each
-    later slot's gather, a strip-sized temporary, folded in by ufunc in slot order. A block
-    is yielded once all its slots are in (taken = len(arrays)) and, before that, after its
+    filled one strip of about _STRIP entries at a time, slot 0 first and each later slot's
+    gather, a strip-sized temporary, folded in by ufunc in slot order. Slot 0's gather is
+    copied in, unless o_0 is all zero, as in every configuration scan (slot 0 sits at
+    x + 0y): then slot 0 is the same row a_0 for every y, so it is not gathered but
+    broadcast as ufunc's first operand in slot 1's fold, or copied into a stage that ends
+    after slot 0. Either way each entry gets the same ufunc calls in the same order. A block is
+    yielded once all its slots are in (taken = len(arrays)) and, before that, after its
     first `prefix` slots, so a caller reads a prefix of the configuration from the same pass;
     it must read a block before it asks for the next. At least one slot and p >= 1 are
     required. p is the length of the slots and the block's dtype is theirs (all slots share
@@ -214,7 +228,9 @@ def _slot_reduce(arrays, offsets, ufunc, prefix=None):
     """
     p, rows, n = len(arrays[0]), len(offsets[0]), len(arrays)
     _charge_scan(rows, p, n)
-    windows = [_shift_rows(a) for a in arrays]  # row j of a shift view is x -> a(x + j)
+    flat = not offsets[0].any()  # slot 0 is the row a_0 for every y
+    # row j of a shift view is x -> a(x + j); a broadcast slot 0 needs none
+    windows = [None if j == 0 and flat else _shift_rows(a) for j, a in enumerate(arrays)]
     chunk = max(1, (1 << 21) // p)
     strip = max(1, _STRIP // p)
     stops = [prefix, n] if prefix is not None and 0 < prefix < n else [n]
@@ -226,9 +242,14 @@ def _slot_reduce(arrays, offsets, ufunc, prefix=None):
             for r0 in range(y0, y1, strip):
                 ys = slice(r0, min(r0 + strip, y1))
                 part = acc[r0 - y0 : ys.stop - y0]
-                if start == 0:
-                    part[...] = windows[0][offsets[0][ys]]
-                for j in range(max(start, 1), stop):
+                first = start  # the first slot still to fold in
+                if start == 0 and flat and stop > 1:
+                    ufunc(arrays[0], windows[1][offsets[1][ys]], out=part)
+                    first = 2
+                elif start == 0:
+                    part[...] = arrays[0] if flat else windows[0][offsets[0][ys]]
+                    first = 1
+                for j in range(first, stop):
                     ufunc(part, windows[j][offsets[j][ys]], out=part)
             yield y0, stop, acc
             start = stop

@@ -503,10 +503,16 @@ def test_slot_reduce_matches_straight_scan(p):
     _assert_same_blocks([bits] * n, nonzero_y, np.logical_and)
     masks = [rng.integers(0, 1 << 62, p, dtype=np.int64) for _ in range(n)]
     _assert_same_blocks(masks, nonzero_y, np.bitwise_or)
+    # dual_function's offsets for omit = 1: slot 0 is shifted, so it is gathered, not broadcast
+    shifted = [(off - offsets[1]) % p for j, off in enumerate(offsets) if j != 1]
+    assert shifted[0].any()
+    _assert_same_blocks(values[1:], shifted, np.multiply)
+    _assert_same_blocks([bits] * (n - 1), shifted, np.logical_and)
+    _assert_same_blocks(masks[1:], shifted, np.bitwise_or)
 
 
 @pytest.mark.parametrize("p", [2, 3, 7])
-@pytest.mark.parametrize("text", ["m=1", "m=3", "m=3;P=y^2"])
+@pytest.mark.parametrize("text", ["m=1", "m=3", "m=3;P=y^2", "m=1;P=y^2+1"])
 def test_slot_reduce_on_small_fields(p, text):
     spec = parse_progression_spec(text)
     rng = np.random.default_rng(10 * p + spec.total_points)
@@ -526,6 +532,25 @@ def test_slot_reduce_on_small_fields(p, text):
     assert len(blocks) == 1 and blocks[0][2].shape == (p - 1, p)
     expected = _scan_by_definition(masks, nonzero_y, p, np.bitwise_or, np.int64)
     assert np.array_equal(blocks[0][2], expected)
+    # dual_function's offsets for omit = n - 1, whose slot 0 is shifted unless p divides it
+    shifted = [(off - offsets[-1]) % p for off in offsets[:-1]]
+    for y0, taken, acc in _slot_reduce(values[:-1], shifted, np.multiply) if n > 1 else ():
+        expected = _scan_by_definition(values[:-1], shifted, p, np.multiply, complex)
+        assert (y0, taken) == (0, n - 1) and acc.tobytes() == expected.tobytes()
+
+
+def test_config_offsets_are_cached_and_read_only():
+    spec = parse_progression_spec("m=3;P=y^3,y^4")
+    offsets = config_offsets(spec, 11)
+    assert config_offsets(parse_progression_spec("m=3;P=y^3,y^4"), 11) is offsets
+    assert isinstance(offsets, tuple) and len(offsets) == spec.total_points
+    ap_slots = [[j * y % 11 for y in range(11)] for j in range(3)]
+    assert [off.tolist() for off in offsets[:3]] == ap_slots
+    for off in offsets:
+        with pytest.raises(ValueError, match="read-only"):
+            off[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            off[1:] += 1
 
 
 @pytest.mark.parametrize("rows", ["p", "p - 1"])

@@ -17,8 +17,9 @@ do. The groups:
 - budget: FFPROG_BUDGET refusals, before any table and in the middle of a search, and
   the two budgets either side of one node charge of the exact search;
 - other: the remaining subcommands, their refusals (a prime repeated in a ladder, an
-  empty or non-integer ladder and `gowers --s 1` among them), a warning, and a
-  discorrelation report, as csv, pretty and json, whose label renders every kind of term;
+  empty or non-integer ladder and `gowers --s 1` among them), a warning, a
+  discorrelation report, as csv, pretty and json, whose label renders every kind of term,
+  and `lambda` and `discorrelate` for `m=1;P=y^2+1`, whose AP prefix is one slot;
 - gowers: `gowers --s 2|3|4 --strategy direct|fast` on 7-, 13- and 101-point fixtures
   (the 13-point one is the quadratic character, with its exact zero), leaving out what
   the default budget refuses, and `chardecay --s 3 --format json` on a four-prime ladder;
@@ -104,6 +105,7 @@ def other_commands(bench, tmp: Path):
     f7.write_text(json.dumps({"p": 7, "re": [0.6] * 7, "im": [0.8] * 7}))
     yield None, ["lambda", "--spec", "m=3;P=7y^4+y^3", "--fixtures", ",".join([str(f7)] * 4)]
     yield None, ["lambda", "--spec", "m=3;P=y", "--fixtures", ",".join([str(f7)] * 4)]
+    yield None, ["lambda", "--spec", "m=1;P=y^2+1", "--fixtures", ",".join([str(f7)] * 2)]
     yield None, ["lambda", "--spec", "m=3", "--fixtures", str(tmp / "missing.json")]
     yield None, ["gowers", "--fixture", f101, "--s", "2"]
     yield None, ["gowers", "--fixture", f101, "--s", "99999999", "--strategy", "direct"]
@@ -125,6 +127,9 @@ def other_commands(bench, tmp: Path):
     for fmt in ("csv", "pretty", "json"):  # a label with negative, unit and constant terms
         yield None, ["discorrelate", "--spec", "m=2;P=-y^2+2y^3,3-y+y^4", "--primes",
                      "11,13,17", "--trials", "2", "--format", fmt]
+    # a one-slot AP prefix: the scan stops after slot 0 before it folds in the polynomial slot
+    yield None, ["discorrelate", "--spec", "m=1;P=y^2+1", "--primes", "5,7,11", "--trials", "2",
+                 "--format", "json"]
 
 
 def gowers_commands(bench, tmp: Path):
