@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .budget import charge
+from .budget import charge, charge_power
 from .errors import BudgetExceeded, InvalidSpec, ParseError, UsageError, _integer
 from .field import _MAX_VECTOR_MODULUS, FieldCtx, pow_mod
 from .harmonic import FpFunction, _require_same_ctx, _residue_mask, _shift_rows
@@ -366,10 +366,8 @@ class LinearSystemSpec:
 
 def lambda_linear(sys_spec: LinearSystemSpec, fs, restricted: bool) -> complex:
     """E_{x_1..x_d} prod_i f_i(L_i(...)); restricted substitutes x_j^{k_j} for x_j."""
-    if sys_spec.d > 3:
-        raise UsageError("d <= 3 enforced (cost p^d)")
     p = _field_of(fs, len(sys_spec.forms)).p
-    charge(p**sys_spec.d * len(sys_spec.forms), f"lambda_linear(p={p}, d={sys_spec.d})")
+    charge_power(p, sys_spec.d, len(sys_spec.forms), f"lambda_linear(p={p}, d={sys_spec.d})")
     axes = np.ix_(*(pow_mod(np.arange(p), k if restricted else 1, p) for k in sys_spec.powers))
     prod = np.ones((p,) * sys_spec.d, dtype=np.complex128)
     for f, row in zip(fs, sys_spec.forms):

@@ -870,7 +870,7 @@ FLAGS = {
     },
     "restricted-ap": {
         "--primes": LADDER,
-        "--m": (["1", "2", "3", "4"], INT),
+        "--m": (["1", "2", "3", "4", "5", "6"], INT),
         "--k": (["1", "2", "3"], INT),
         "--density": DENSITY,
         "--trials": TRIALS,

@@ -11,6 +11,7 @@ from ffprog import (
     IntPolynomial,
     InvalidSpec,
     LinearSystemSpec,
+    ParseError,
     ProgressionSpec,
     SweepReport,
     TrialFunctionFamily,
@@ -23,11 +24,13 @@ from ffprog import (
     discorrelation_sweep,
     exact_max_free_set,
     find_progression,
+    fourier,
     gowers_direct,
     gowers_fast,
     greedy_free_set,
     indicator,
     kth_power_residues,
+    lambda_ap,
     make_field,
     monomial,
     mult_character,
@@ -521,9 +524,49 @@ def test_odd_primes_required():
         restricted_ap_experiment([2], 3, 2, fam, 1)
     with pytest.raises(UsageError, match="9 is not prime"):
         restricted_ap_experiment([9], 3, 2, fam, 1)
-    for m in (5, 0, -1):  # m outside 1..4
-        with pytest.raises(ValueError):
+    for m in (0, -1):
+        with pytest.raises(UsageError, match=f"m must be >= 1, got {m}"):
             restricted_ap_experiment([11], m, 2, fam, 1)
+
+
+def _restricted_ap_by_definition(p, m, k, fam, trials):
+    """(median, max) over trials of |E_{x,y} prod_{j<m} 1_A(x+jy) (1_{Q_k}(y) - 1/k')|,
+    summed in pure Python with Q_k read off {y^k}."""
+    ctx = make_field(p)
+    kp = math.gcd(k, p - 1)
+    residues = {pow(y, k, p) for y in range(1, p)}
+    errs = []
+    for t in range(trials):
+        a = [bool(v) for v in fam.generate(ctx, t, 0).values.real]
+        total = 0.0
+        for y in range(p):
+            weight = (1.0 if y in residues else 0.0) - 1.0 / kp
+            for x in range(p):
+                if all(a[(x + j * y) % p] for j in range(m)):
+                    total += weight
+        errs.append(abs(total / (p * p)))
+    return float(np.median(errs)), max(errs)
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_restricted_ap_runs_past_four_terms(m):
+    # m is limited by the budget alone; both scans of each trial are charged
+    fam = TrialFunctionFamily(kind="random_indicator", seed=3)
+    rep = restricted_ap_experiment([11, 13], m, 2, fam, trials=2)
+    for p in (11, 13):
+        med, top = _restricted_ap_by_definition(p, m, 2, fam, 2)
+        rows = {r.stat: r.value for r in rep.rows if r.p == p}
+        assert abs(rows["median_error"] - med) < 1e-12
+        assert abs(rows["max_error"] - top) < 1e-12
+    terms = 2 * 13 * 13 * m * 2  # two m-slot scans per trial, two trials, at p = 13
+    try:
+        set_budget(terms - 1)
+        with pytest.raises(BudgetExceeded, match=r"restricted_ap_experiment\(p=13\)"):
+            restricted_ap_experiment([11, 13], m, 2, fam, trials=2)
+        set_budget(terms)
+        restricted_ap_experiment([11, 13], m, 2, fam, trials=2)
+    finally:
+        set_budget(None)
 
 
 def test_fit_requires_three_positive_rows():
@@ -642,6 +685,55 @@ def test_integer_parameters_refuse_values_below_their_range(site):
     with pytest.raises(UsageError) as info:
         call()
     assert str(info.value) == message
+
+
+# refusals of the library that no other test reaches: (call, exception type, message)
+LIBRARY_REFUSALS = {
+    "fourier-strategy": (
+        lambda: fourier(constant(F7), "bogus"), UsageError, "unknown strategy 'bogus'"
+    ),
+    "linear-powers": (
+        lambda: LinearSystemSpec(d=2, forms=((1, 0),), powers=(1,)),
+        UsageError,
+        "need one power per variable",
+    ),
+    "linear-form-length": (
+        lambda: LinearSystemSpec(d=2, forms=((1, 0, 0),), powers=(1, 1)),
+        UsageError,
+        "each form needs d coefficients",
+    ),
+    "linear-zero-form": (
+        lambda: LinearSystemSpec(d=2, forms=((0, 0),), powers=(1, 1)),
+        UsageError,
+        "zero linear form",
+    ),
+    "values_mod-int64": (
+        lambda: IntPolynomial((0, 1)).values_mod(3037000507),
+        UsageError,
+        "p=3037000507 too large for int64 vectorized evaluation",
+    ),
+    "spec-trailing-character": (
+        lambda: parse_progression_spec("m=3;P=y^2)"),
+        ParseError,
+        "unexpected character ')' (at offset 9)",
+    ),
+    "character-phase-p2": (
+        lambda: TrialFunctionFamily("character_phase", 0).generate(make_field(2), 0),
+        UsageError,
+        "p=2 has no nonprincipal character",
+    ),
+    "lambda_ap-empty": (lambda: lambda_ap([]), UsageError, "need at least one function"),
+}
+
+
+@pytest.mark.parametrize("site", LIBRARY_REFUSALS)
+def test_library_refusals(site):
+    call, kind, message = LIBRARY_REFUSALS[site]
+    with pytest.raises(kind) as info:
+        call()
+    assert type(info.value) is kind and str(info.value) == message
+    if kind is ParseError:
+        assert info.value.position == 9
 
 
 @pytest.mark.parametrize("sweep", [

@@ -14,12 +14,14 @@ do. The groups:
 - bench: the commands of the three benchmark workloads for seeds 0-10 (121);
 - search: `search --mode exact`, pretty and json, for 9 specs at every p in 0..41
   (non-primes are refused, and so is p = 41, past the cap);
-- budget: FFPROG_BUDGET refusals, before any table and in the middle of a search, and
-  the two budgets either side of one node charge of the exact search;
+- budget: FFPROG_BUDGET refusals, before any table and in the middle of a search, the
+  two budgets either side of one node charge of the exact search, and `restricted-ap
+  --m 5`, whose two scans per trial are both charged;
 - other: the remaining subcommands, their refusals (a prime repeated in a ladder, an
   empty or non-integer ladder and `gowers --s 1` among them), a warning, a
   discorrelation report, as csv, pretty and json, whose label renders every kind of term,
-  and `lambda` and `discorrelate` for `m=1;P=y^2+1`, whose AP prefix is one slot;
+  `lambda` and `discorrelate` for `m=1;P=y^2+1`, whose AP prefix is one slot, and
+  `restricted-ap --m 5|6`;
 - gowers: `gowers --s 2|3|4 --strategy direct|fast` on 7-, 13- and 101-point fixtures
   (the 13-point one is the quadratic character, with its exact zero), leaving out what
   the default budget refuses, and `chardecay --s 3 --format json` on a four-prime ladder;
@@ -97,6 +99,8 @@ def budget_commands(bench, tmp: Path):
     for budget in ("25129", "25130"):  # its fifth node charge: refused, then answered
         yield budget, ["search", "--spec", "m=3;P=y^3,y^4", "--p", "31", "--mode", "exact"]
     yield "not-a-number", m4
+    # 2 * 101^2 * 5 * 2 = 204 020 terms for the two scans of each trial: over this budget
+    yield "100000", ["restricted-ap", "--primes", "101", "--m", "5", "--k", "2", "--trials", "2"]
 
 
 def other_commands(bench, tmp: Path):
@@ -130,6 +134,9 @@ def other_commands(bench, tmp: Path):
     # a one-slot AP prefix: the scan stops after slot 0 before it folds in the polynomial slot
     yield None, ["discorrelate", "--spec", "m=1;P=y^2+1", "--primes", "5,7,11", "--trials", "2",
                  "--format", "json"]
+    for m in ("5", "6"):  # past four terms: m is limited by the budget alone
+        yield None, ["restricted-ap", "--primes", "11,13,17", "--m", m, "--k", "2", "--trials", "2",
+                     "--format", "json"]
 
 
 def gowers_commands(bench, tmp: Path):
