@@ -143,8 +143,6 @@ def validate_spec(spec: ProgressionSpec) -> SpecValidation:
     Equivalent to the kernel of the degree->=m coefficient matrix being trivial;
     a nonzero kernel vector is returned (integer-normalized) as the witness.
     """
-    if not spec.polys:
-        return SpecValidation(valid=True)
     rows = []
     for P in spec.polys:
         high = P.coeffs[spec.m :]  # coefficients of y^m, y^{m+1}, ...

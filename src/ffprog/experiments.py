@@ -331,13 +331,10 @@ def weil_corollary_check(ctx: FieldCtx, k: int, r: int, points) -> tuple[float, 
     charge((2 * r + 1) * p, f"weil_corollary_check(p={p}, r={r})")  # 2r products and the terms
     chi = mult_character(ctx, kk)
     x = np.arange(p, dtype=np.int64)
-    prod_left = np.ones(p, dtype=np.int64)
-    for b in bs[:r]:
-        prod_left = prod_left * ((x - b) % p) % p
-    prod_right = np.ones(p, dtype=np.int64)
-    for b in bs[r:]:
-        prod_right = prod_right * ((x - b) % p) % p
-    terms = chi[prod_left] * np.conjugate(chi[prod_right])
+    prods = np.ones((2, p), dtype=np.int64)  # rows: the products over b_1..b_r and b_{r+1}..b_{2r}
+    for i, b in enumerate(bs):
+        prods[i // r] = prods[i // r] * ((x - b) % p) % p
+    terms = chi[prods[0]] * np.conjugate(chi[prods[1]])
     modulus = abs(complex(terms.mean()))
     bound = 2 * r * p**-0.5
     return modulus, bound, modulus <= bound + 1e-12

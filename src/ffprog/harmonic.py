@@ -129,14 +129,19 @@ def _bluestein_plan(p: int):
     return chirp, fkernel, L
 
 
-def _dft_sum_fast(values: np.ndarray) -> np.ndarray:
-    """X[..., k] = sum_n values[..., n] e_p(nk) via the chirp reduction (any length, primes
-    included), along the last axis: each row of a block gets the bits of its own 1-D call."""
-    p = values.shape[-1]
+def _dft_sums(blocks, p: int, rows: int):
+    """Yield X[:, k] = sum_n block[:, n] e_p(nk) per block of <= `rows` rows by the chirp reduction,
+    pre-padded in one (rows, L) buffer for pocketfft's multi-row path, at one-row bits per row."""
     chirp, fkernel, L = _bluestein_plan(p)
-    fa = np.fft.fft(values * chirp, L, axis=-1)
-    conv = np.fft.ifft(fa * fkernel, axis=-1)[..., :p]
-    return chirp * conv
+    padded = np.zeros((rows, L), dtype=np.complex128)  # columns p.. stay zero
+    spectrum = np.empty_like(padded)
+    for block in blocks:
+        r = len(block)
+        np.multiply(block, chirp, out=padded[:r, :p])
+        work = np.fft.fft(padded[:r], axis=-1, out=spectrum[:r])
+        work *= fkernel
+        np.fft.ifft(work, axis=-1, out=work)
+        yield chirp * work[:, :p]
 
 
 def _dft_sum_naive(values: np.ndarray, twiddle: np.ndarray) -> np.ndarray:
@@ -159,7 +164,7 @@ def fourier(f: FpFunction, strategy: str = "fast") -> np.ndarray:
         charge_power(f.p, 2, 1, f"fourier(naive, p={f.p})")
         sums = _dft_sum_naive(f.values, f.ctx.twiddle)
     elif strategy == "fast":
-        sums = _dft_sum_fast(f.values)
+        sums = next(_dft_sums([f.values[None]], f.p, 1))[0]
     else:
         raise UsageError(f"unknown strategy {strategy!r}")
     return sums / f.p
@@ -255,41 +260,37 @@ def gowers_direct(f: FpFunction, s: int) -> float:
 _ROW_BLOCK = 8
 
 
+def _derivative_blocks(values: np.ndarray, t: int):
+    """Delta_h d for each d = Delta_{h_1..h_t} of the values, in blocks of _ROW_BLOCK rows."""
+    p = len(values)
+    for d in _nested_derivatives(values, t):
+        shifted, conj_d = _shift_rows(d)[:p], np.conjugate(d)
+        for h0 in range(0, p, _ROW_BLOCK):
+            yield shifted[h0 : h0 + _ROW_BLOCK] * conj_d
+
+
 def gowers_fast(f: FpFunction, s: int) -> float:
     """U^s norm via the U^2-Fourier identity.
 
     s=2 is one fast transform (U^2 = l^4 norm of the spectrum); s>2 averages
-    ||Delta_{h_1..h_{s-2}} f||_{U^2}^4 over all tuples, cost O(p^{s-1} log p). The rows
-    Delta_h d of the last level go through the chirp transform a block at a time, written
-    into the first p columns of a zeroed (_ROW_BLOCK, L) block: rows already of length L take
-    pocketfft's multi-row path, where fft(x, L) zero-fills one row at a time. The cost and
-    the result are those of one _dft_sum_fast call per row.
+    ||Delta_{h_1..h_{s-2}} f||_{U^2}^4 over all tuples, cost O(p^{s-1} log p).
     """
     s = _integer(s, "s", low=2)
     p = f.p
     logp = max(1, math.ceil(math.log2(p)))
     charge_power(p, s - 1, logp, f"gowers_fast(s={s}, p={p})")
     if s == 2:
-        acc = float((np.abs(_dft_sum_fast(f.values) / p) ** 4).sum())
+        blocks, rows = [f.values[None]], 1
     else:
-        chirp, fkernel, L = _bluestein_plan(p)
-        padded = np.zeros((_ROW_BLOCK, L), dtype=np.complex128)  # columns p.. stay zero
-        spectrum = np.empty_like(padded)
-        acc = 0.0
-        for d in _nested_derivatives(f.values, s - 3):
-            shifted, conj_d = _shift_rows(d)[:p], np.conjugate(d)
-            for h0 in range(0, p, _ROW_BLOCK):
-                r = min(_ROW_BLOCK, p - h0)
-                np.multiply(shifted[h0 : h0 + r] * conj_d, chirp, out=padded[:r, :p])
-                work = np.fft.fft(padded[:r], axis=-1, out=spectrum[:r])
-                work *= fkernel
-                np.fft.ifft(work, axis=-1, out=work)
-                # |z * (1/p)| == |z / p|: numpy divides by p + 0j as (re + im*0) * fl(1/p), so
-                # only the sign of an exact zero can differ, and |.| drops it
-                coeffs = chirp * work[:, :p] * (1.0 / p)
-                # one add per row, in order: a block .sum() would reorder the float additions
-                for v in (np.abs(coeffs) ** 4).sum(axis=-1):
-                    acc += float(v)
+        blocks, rows = _derivative_blocks(f.values, s - 3), min(_ROW_BLOCK, p)
+    acc = 0.0
+    for sums in _dft_sums(blocks, p, rows):
+        # |z * (1/p)| == |z / p|: numpy divides by p + 0j as (re + im*0) * fl(1/p), so only
+        # the sign of an exact zero can differ, and |.| drops it
+        coeffs = sums * (1.0 / p)
+        # one add per row, in order: a block .sum() would reorder the float additions
+        for v in (np.abs(coeffs) ** 4).sum(axis=-1):
+            acc += float(v)
     return (acc / p ** (s - 2)) ** (1.0 / (1 << s))
 
 

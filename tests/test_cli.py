@@ -1,6 +1,9 @@
 import argparse
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -267,6 +270,33 @@ def test_chardecay_command(capsys):
     assert main(["chardecay", "--primes", "101", "--s", "2", "--k", "2"]) == 0
     out = capsys.readouterr().out
     assert "norm" in out and "proof_bound" in out
+
+
+def test_chardecay_violation_prints_the_report_then_one_error_line(monkeypatch, capsys):
+    real = experiments.gowers_fast
+    monkeypatch.setattr(experiments, "gowers_fast", lambda f, s: 1.0 if f.p == 101 else real(f, s))
+    argv = ["chardecay", "--primes", "11,101", "--s", "2", "--k", "2", "--format", "csv"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == "p,stat,value,trials,seed" and len(lines) == 7
+    assert lines[4] == "101,U2[k=2] norm,1.0,1,0"
+    assert captured.err == "error: BoundViolation: p=101 k=2: U2^4=1.000000e+00 > 3.981129e-01\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to fill stdout")
+def test_entry_exits_with_mains_code_and_quietly_on_a_full_stdout(child_env, capsys):
+    # the installed `ffprog` command: main's code, and no traceback when stdout cannot flush
+    argv = ["search", "--spec", "m=3", "--p", "7", "--format", "json"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    child = [sys.executable, "-m", "ffprog.cli", *argv]
+    proc = subprocess.run(child, env=child_env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(child, env=child_env, stdout=full, stderr=subprocess.PIPE, text=True)
+    error = "error: IoFailure: cannot write report: [Errno 28] No space left on device\n"
+    assert (proc.returncode, proc.stderr) == (1, error)
 
 
 def test_search_commands(capsys):

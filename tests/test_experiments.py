@@ -265,6 +265,19 @@ def test_character_norm_decay_huge_prime_is_refused_by_budget():
         character_norm_decay([2**61 - 1], 2)
 
 
+def test_character_norm_decay_raises_on_a_violated_bound_with_its_report(monkeypatch):
+    # no character breaks the proof bound, so p = 101 is given a norm of 1 > (4/sqrt(101))^(1/4)
+    real = experiments.gowers_fast
+    monkeypatch.setattr(experiments, "gowers_fast", lambda f, s: 1.0 if f.p == 101 else real(f, s))
+    with pytest.raises(BoundViolation) as info:
+        character_norm_decay([11, 101], 2, orders=2)
+    assert str(info.value) == "p=101 k=2: U2^4=1.000000e+00 > 3.981129e-01"
+    rows = info.value.report.rows
+    stats = ("norm", "proof_bound", "headline_bound")
+    assert [(r.p, r.stat) for r in rows] == [(p, f"U2[k=2] {s}") for p in (11, 101) for s in stats]
+    assert rows[3].value == 1.0
+
+
 @pytest.mark.parametrize("p", [101, 211, 401, 809])
 def test_character_u3_matches_symmetry_route(p):
     # Delta_{ah} chi(a x) = Delta_h chi(x) for a != 0, so ||Delta_h chi||_{U^2} only depends on

@@ -24,7 +24,8 @@ do. The groups:
   `restricted-ap --m 5|6`;
 - gowers: `gowers --s 2|3|4 --strategy direct|fast` on 7-, 13- and 101-point fixtures
   (the 13-point one is the quadratic character, with its exact zero), leaving out what
-  the default budget refuses, and `chardecay --s 3 --format json` on a four-prime ladder;
+  the default budget refuses, `chardecay --s 3 --format json` on a four-prime ladder and
+  `gowers --s 2 --strategy fast` on the benchmark's 2003-point fixture;
 - greedy: `search --mode greedy --format json` for the same 9 specs at every prime
   p <= 41, seeds 0-2;
 - usage: help and usage errors: lines without a subcommand, and for each subcommand
@@ -147,7 +148,8 @@ def gowers_commands(bench, tmp: Path):
     squares = {x * x % 13 for x in range(1, 13)}
     chi = [0] + [1 if x in squares else -1 for x in range(1, 13)]
     f13.write_text(json.dumps({"p": 13, "re": chi, "im": [0] * 13}))
-    fixtures = {7: f7, 13: f13, 101: bench.write_fixtures(0, tmp)[bench.GOWERS_DIRECT_P]}
+    bench_fixtures = bench.write_fixtures(0, tmp)
+    fixtures = {7: f7, 13: f13, 101: bench_fixtures[bench.GOWERS_DIRECT_P]}
     for p, path in fixtures.items():
         for s in (2, 3, 4):
             for strategy in ("direct", "fast"):
@@ -155,6 +157,8 @@ def gowers_commands(bench, tmp: Path):
                     continue
                 yield None, ["gowers", "--fixture", str(path), "--s", str(s), "--strategy", strategy]
     yield None, ["chardecay", "--primes", "11,13,17,101", "--s", "3", "--k", "all", "--format", "json"]
+    f2003 = str(bench_fixtures[bench.GOWERS_FAST_P])  # the s = 2 transform at L = 4096
+    yield None, ["gowers", "--fixture", f2003, "--s", "2", "--strategy", "fast"]
 
 
 def greedy_commands():
