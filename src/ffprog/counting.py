@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .budget import charge, charge_power
-from .errors import BudgetExceeded, InvalidSpec, ParseError, UsageError, _integer
+from .errors import InvalidSpec, ParseError, UsageError, _integer
 from .field import _MAX_VECTOR_MODULUS, FieldCtx, pow_mod
 from .harmonic import FpFunction, _require_same_ctx, _residue_mask, _shift_rows
 
@@ -37,8 +37,14 @@ from .harmonic import FpFunction, _require_same_ctx, _residue_mask, _shift_rows
 # costs about d * p steps (degree 10^4 at p = 10007: ~0.5 s on a 2-vCPU Xeon VM).
 MAX_EXPONENT = 10**4
 
-# Largest p the exact free-set search admits. It must stay <= 62: the instance masks are int64.
-MAX_EXACT_P = 37
+# Largest p the exact free-set search admits: the largest prime below 63, as its masks are int64.
+MAX_EXACT_P = 61
+
+# Budget terms charged per node the exact search pops, so that the budget buys about as many
+# seconds of search as of (x, y) scan. On a 2-vCPU Xeon, _free_search took 0.8-1.7 us a node
+# (medians 1.0-1.2 us over 12 (spec, p) cases, p = 31-61) and lambda_poly_and_ap on
+# m=3;P=y^3,y^4 1.5-2.8 ns a term (medians 1.6-2.0 ns at p = 101, 401, 809): 500-700.
+_NODE_TERMS = 600
 
 
 @dataclass(frozen=True)
@@ -362,19 +368,36 @@ class LinearSystemSpec:
                         )
 
 
+# Grid points per block of lambda_linear's sum: with two forms a block's arrays took ~64 B a
+# point (tracemalloc, d = 2-6), ~4 MiB a block.
+_LINEAR_BLOCK = 1 << 16
+
+
 def lambda_linear(sys_spec: LinearSystemSpec, fs, restricted: bool) -> complex:
-    """E_{x_1..x_d} prod_i f_i(L_i(...)); restricted substitutes x_j^{k_j} for x_j."""
-    p = _field_of(fs, len(sys_spec.forms)).p
-    charge_power(p, sys_spec.d, len(sys_spec.forms), f"lambda_linear(p={p}, d={sys_spec.d})")
-    axes = np.ix_(*(pow_mod(np.arange(p), k if restricted else 1, p) for k in sys_spec.powers))
-    prod = np.ones((p,) * sys_spec.d, dtype=np.complex128)
-    for f, row in zip(fs, sys_spec.forms):
-        arg = np.zeros((p,) * sys_spec.d, dtype=np.int64)
-        for c, t in zip(row, axes):
-            if c % p:
-                arg = (arg + (c % p) * t) % p
-        prod *= f.values[arg]
-    return complex(prod.mean())
+    """E_{x_1..x_d} prod_i f_i(L_i(...)); restricted substitutes x_j^{k_j} for x_j.
+
+    Summed in blocks of _LINEAR_BLOCK // p consecutive flat indices of (x_1..x_{d-1}), each
+    with every x_d, so a block holds about _LINEAR_BLOCK points at any d (p if p is larger).
+    """
+    p, d = _field_of(fs, len(sys_spec.forms)).p, sys_spec.d
+    charge_power(p, d, len(sys_spec.forms), f"lambda_linear(p={p}, d={d})")
+    xs = np.array([pow_mod(np.arange(p), k if restricted else 1, p) for k in sys_spec.powers])
+    coeffs = np.array([[c % p for c in row] for row in sys_spec.forms], dtype=np.int64)
+    terms = coeffs.T[:, :, None] * xs[:, None, :] % p  # [j, i, x]: c_ij x^k_j, one lookup of L_i
+    rows = max(1, _LINEAR_BLOCK // p)
+    total = 0j
+    for start in range(0, p ** (d - 1), rows):
+        rest = np.arange(start, min(start + rows, p ** (d - 1)))
+        args = np.zeros((len(coeffs), len(rest), 1), dtype=np.int64)
+        for table in terms[:-1]:
+            rest, x = np.divmod(rest, p)
+            args += table[:, x, None]
+        args = (args + terms[-1][:, None, :]) % p
+        prod = np.ones(args.shape[1:], dtype=np.complex128)
+        for f, arg in zip(fs, args):
+            prod *= f.values[arg]
+        total += prod.sum()
+    return complex(total / p**d)
 
 
 def find_progression(A, spec: ProgressionSpec, p: int | None = None):
@@ -515,14 +538,15 @@ def exact_max_free_set(ctx: FieldCtx, spec: ProgressionSpec) -> tuple[int, list[
     instances whose second-largest point is a, so one table grouped by that point
     (_forbid_table) updates it. The cuts drop only subtrees that cannot beat the best.
     The budget is charged for the instance table, then again every 4096 nodes of the two
-    searches together for the table plus the nodes popped so far. The R table is built
-    after the first charge and is not charged: its searches, which also stop at the first
-    set that beats R[n-1], pop fewer than 2^13 nodes in all. p is refused past MAX_EXACT_P.
+    searches together for the table plus _NODE_TERMS per node popped so far. The R table
+    is built after the first charge and is not charged: its searches, which also stop at
+    the first set that beats R[n-1], pop fewer than 2^13 nodes in all. A p past
+    MAX_EXACT_P, whose instances do not fit the int64 masks, is refused before any charge.
     """
     require_valid(spec)
     p = ctx.p
     if p > MAX_EXACT_P:
-        raise BudgetExceeded(f"p={p} exceeds search cap {MAX_EXACT_P}")
+        raise UsageError(f"p={p} > {MAX_EXACT_P}: the exact search's instance masks are int64")
     table = p * (p - 1) * spec.total_points
     what = f"exact_max_free_set(p={p})"
     charge(table, what)
@@ -532,7 +556,7 @@ def exact_max_free_set(ctx: FieldCtx, spec: ProgressionSpec) -> tuple[int, list[
     bound = _interval_bounds(forbids, p - 1)
 
     def meter(nodes):
-        charge(table + nodes, what)
+        charge(table + nodes * _NODE_TERMS, what)
 
     mask, nodes = _free_search(forbids, bound, p, 1, p, meter, first=False)
     size = max(mask.bit_count(), 1)

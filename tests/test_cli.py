@@ -21,6 +21,7 @@ from ffprog import (
     ProgressionSpec,
     UsageError,
     constant,
+    find_progression,
     make_field,
     set_budget,
 )
@@ -570,16 +571,17 @@ def test_search_has_no_cap_flag(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, error",
     [
-        ["search", "--spec", "m=3", "--p", "1000003", "--mode", "exact"],
-        ["weil", "--p", "1000003", "--k", "2", "--r", "1", "--points", "0,1"],
-        ["counterexample", "--p", "1000003", "--a", "1"],
+        (["search", "--spec", "m=3", "--p", "1000003", "--mode", "exact"], "UsageError"),
+        (["weil", "--p", "1000003", "--k", "2", "--r", "1", "--points", "0,1"], "BudgetExceeded"),
+        (["counterexample", "--p", "1000003", "--a", "1"], "BudgetExceeded"),
     ],
     ids=["search-exact", "weil", "counterexample"],
 )
-def test_large_p_is_refused_before_any_table(argv, capsys):
-    # make_field builds no O(p) table, and each command charges before it builds its own
+def test_large_p_is_refused_before_any_table(argv, error, capsys):
+    # make_field builds no O(p) table, and each command charges before it builds its own;
+    # the exact search refuses a p past its int64 masks before it charges
     set_budget(1000)
     tracemalloc.start()
     try:
@@ -591,8 +593,25 @@ def test_large_p_is_refused_before_any_table(argv, capsys):
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert captured.out == ""
-    assert len(err) == 1 and err[0].startswith("error: BudgetExceeded: ")
+    assert len(err) == 1 and err[0].startswith(f"error: {error}: ")
     assert peak < 2**20
+
+
+def test_search_exact_answers_at_the_largest_prime(capsys):
+    argv = ["search", "--spec", "m=2;P=y^2", "--p", "61", "--mode", "exact", "--format", "json"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["p"], report["size"]) == (61, 12) and len(report["set"]) == 12
+    assert find_progression(report["set"], parse_progression_spec("m=2;P=y^2"), p=61) is None
+
+
+def test_search_exact_refuses_p_past_the_int64_masks(capsys):
+    assert main(["search", "--spec", "m=3", "--p", "67", "--mode", "exact"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: UsageError: p=67 > 61: the exact search's instance masks are int64\n"
+    )
 
 
 # Every refusal of a bad argument is a UsageError (a ValueError); the spec grammar and the

@@ -437,7 +437,7 @@ def test_lambda_linear_refuses_a_huge_d_in_log_space(monkeypatch):
 
 
 @pytest.mark.parametrize("restricted", [False, True])
-def test_lambda_linear_four_variables_by_definition(restricted):
+def test_lambda_linear_four_variables_by_definition(restricted, monkeypatch):
     p = 5
     ctx = make_field(p)
     forms = ((1, 0, 0, 0), (1, 1, 1, 0), (1, 2, 0, 1), (0, 1, 3, 1))
@@ -451,8 +451,11 @@ def test_lambda_linear_four_variables_by_definition(restricted):
         for f, row in zip(fs, forms):
             term *= f.values[sum(c * x for c, x in zip(row, xs)) % p]
         total += term
-    value = lambda_linear(LinearSystemSpec(d=4, forms=forms, powers=powers), fs, restricted)
-    assert abs(value - total / p**4) < 1e-12
+    sysspec = LinearSystemSpec(d=4, forms=forms, powers=powers)
+    assert abs(lambda_linear(sysspec, fs, restricted) - total / p**4) < 1e-12
+    # in blocks of 3 of the 125 values of (x_1, x_2, x_3), each with every x_4: the last short
+    monkeypatch.setattr(counting, "_LINEAR_BLOCK", 15)
+    assert abs(lambda_linear(sysspec, fs, restricted) - total / p**4) < 1e-12
 
 
 def test_lambda_linear_peak_bytes_per_term_do_not_grow_with_d():
@@ -472,6 +475,26 @@ def test_lambda_linear_peak_bytes_per_term_do_not_grow_with_d():
 
     three, four = peak_per_term(31, 3), peak_per_term(13, 4)
     assert abs(four - three) <= 0.1 * three
+
+
+def test_lambda_linear_memory_is_one_block():
+    # the p^d grid is summed a block of ~2^16 points at a time, so the tracemalloc peak at
+    # 923 521 points (d = 4, p = 31) is that at 148 877 (d = 3, p = 53); the whole grid at
+    # once took ~40 B a point, ~35 MiB at the larger size
+    def peak(p, d):
+        forms = (tuple(int(i == 0) for i in range(d)), (1,) * d)
+        sysspec = LinearSystemSpec(d=d, forms=forms, powers=(1,) + (2,) * (d - 1))
+        fs = [unimodular(make_field(p), seed) for seed in (1, 2)]
+        tracemalloc.start()
+        try:
+            lambda_linear(sysspec, fs, True)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(53, 3), peak(31, 4)
+    assert 53**3 > counting._LINEAR_BLOCK
+    assert large <= 1.1 * small < 8 * 2**20
 
 
 @pytest.mark.parametrize(
@@ -778,7 +801,7 @@ def _rebuilt_instances(forbids, p):
 
 
 @pytest.mark.parametrize("text", ["m=3", "m=4", "m=3;P=y^3,y^4", "m=2;P=-y^2+2y^3"])
-@pytest.mark.parametrize("p", [5, 11, 13, 31])
+@pytest.mark.parametrize("p", [5, 11, 13, 31, 61])  # 61: masks up to 1 << 60, in int64
 def test_instance_masks_match_python_enumeration(p, text):
     spec = parse_progression_spec(text)
     rebuilt = _rebuilt_instances(_forbid_table(spec, p), p)
@@ -813,30 +836,71 @@ def test_exact_max_free_set_examples():
 
 
 def test_exact_search_cap_fits_int64_masks():
-    # the instance table packs point sets into int64 masks, 1 << x for x < p
-    assert counting.MAX_EXACT_P <= 62
+    # the instance table packs point sets into int64 masks, 1 << x for x < p: 61 is the
+    # largest prime below 63
+    assert counting.MAX_EXACT_P == 61
 
 
 def test_exact_max_free_set_cap():
-    with pytest.raises(BudgetExceeded):
-        exact_max_free_set(make_field(41), ProgressionSpec(3))
+    # 67 is the first prime whose masks do not fit: refused by name, before any charge
+    set_budget(1)
+    try:
+        with pytest.raises(UsageError) as refused:
+            exact_max_free_set(make_field(67), ProgressionSpec(3))
+    finally:
+        set_budget(None)
+    assert str(refused.value) == "p=67 > 61: the exact search's instance masks are int64"
 
 
 def test_exact_max_free_set_meters_its_search():
     # the instance table costs 31 * 30 * 5 = 4650 terms; the ~190 000 DFS nodes are charged
-    # as they are popped, every 4096, so a budget of 10^5 stops the search at the first
-    # multiple of 4096 nodes past it, whatever the shape of the tree
-    set_budget(10**5)
+    # _NODE_TERMS = 600 terms each as they are popped, every 4096, so a budget of 3 * 10^7
+    # stops the search at the first multiple of 4096 nodes past it (the 13th: 53 248 nodes),
+    # whatever the shape of the tree
+    assert counting._NODE_TERMS == 600
+    set_budget(3 * 10**7)
     try:
         with pytest.raises(BudgetExceeded) as refused:
             exact_max_free_set(make_field(31), ProgressionSpec(5))
-        # m=4 at p = 29 pops 38 056 + 19 nodes: 3248 + 9 * 4096 = 40 112 terms at its last charge
+        # m=4 at p = 29 pops 38 056 + 19 nodes: 3248 + 9 * 4096 * 600 = 22 121 648 terms at
+        # its last charge
         assert exact_max_free_set(make_field(29), ProgressionSpec(4))[0] == 11
     finally:
         set_budget(None)
     assert str(refused.value) == (
-        "exact_max_free_set(p=31) needs ~102954 elementary terms, budget is 100000"
+        "exact_max_free_set(p=31) needs ~31953450 elementary terms, budget is 30000000"
     )
+
+
+def test_exact_max_free_set_refuses_a_long_search_at_its_node_charge():
+    # m=3;P=y^3,y^4 at p = 53 is past what the default budget admits; under 10^7 terms the
+    # search stops at its fifth node charge, within one charge of the budget
+    set_budget(10**7)
+    try:
+        with pytest.raises(BudgetExceeded) as refused:
+            exact_max_free_set(make_field(53), parse_progression_spec("m=3;P=y^3,y^4"))
+    finally:
+        set_budget(None)
+    needs = 53 * 52 * 5 + 5 * 4096 * counting._NODE_TERMS  # the instance table, 20 480 nodes
+    assert 10**7 < needs <= 10**7 + 4096 * counting._NODE_TERMS
+    assert str(refused.value) == (
+        f"exact_max_free_set(p=53) needs ~{needs} elementary terms, budget is 10000000"
+    )
+
+
+# r_3(n), the largest subset of {0..n-1} with no 3-term integer progression (OEIS A003002)
+R3 = [0, 1, 2, 2, 3, 4, 4, 4, 4, 5, 5, 6, 6, 7, 8, 8, 8, 8, 8, 8, 9, 9, 9, 9, 10, 10, 11, 11,
+      11, 11, 12, 12]
+
+
+@pytest.mark.parametrize("p, size", [(41, 9), (43, 9), (47, 10), (53, 11), (59, 12), (61, 13)])
+def test_exact_max_free_set_past_37_within_the_classical_bounds(p, size):
+    # a 3-AP mod p inside [0, (p-1)/2] is an integer one, so size >= r_3((p+1)/2); averaging
+    # the translates of an interval of length L gives size <= p r_3(L) / L for every L <= p
+    got, elements = exact_max_free_set(make_field(p), ProgressionSpec(3))
+    assert got == size == len(elements)
+    assert R3[(p + 1) // 2] <= size <= min(p * R3[n] // n for n in range(1, len(R3)))
+    assert find_progression(elements, ProgressionSpec(3), p=p) is None
 
 
 def _smallest_max_free_set(spec, p):

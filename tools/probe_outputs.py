@@ -12,11 +12,13 @@ as <tmp> in argv, stdout and stderr, so the lines of two trees match when their 
 do. The groups:
 
 - bench: the commands of the three benchmark workloads for seeds 0-10 (121);
-- search: `search --mode exact`, pretty and json, for 9 specs at every p in 0..41
-  (non-primes are refused, and so is p = 41, past the cap);
+- search: `search --mode exact`, pretty and json, for 9 specs at every p in 0..41, and
+  on to 61, the last p the exact search admits, for the 7 of them (all but LONG_SPECS)
+  that answer there in about a second or less (non-primes are refused);
 - budget: FFPROG_BUDGET refusals, before any table and in the middle of a search, the
-  two budgets either side of one node charge of the exact search, and `restricted-ap
-  --m 5`, whose two scans per trial are both charged;
+  `m=4` ladder from the table charge to answers, the two budgets either side of one node
+  charge of the exact search, and `restricted-ap --m 5`, whose two scans per trial are
+  both charged;
 - other: the remaining subcommands, their refusals (a prime repeated in a ladder, an
   empty or non-integer ladder and `gowers --s 1` among them), a warning, a
   discorrelation report, as csv, pretty and json, whose label renders every kind of term,
@@ -32,7 +34,7 @@ do. The groups:
   --help, a missing required flag, an unknown flag, a trailing extra token and a bad
   --format (45). Help is wrapped at COLUMNS=80 whatever the terminal.
 
-A whole run takes about 40 s on a 2-vCPU Xeon, most of it the p = 37 searches.
+A whole run takes about 35 s on a 2-vCPU Xeon, most of it the searches at p >= 37.
 """
 
 import contextlib
@@ -54,6 +56,8 @@ EXACT_SPECS = (
     "m=1", "m=3", "m=4", "m=40", "m=2;P=y^2", "m=2;P=-y^2+2y^3", "m=3;P=y^3,y^4", "m=3;P=y",
     "m=1;P=y^2+1",
 )
+# specs whose exact searches run for seconds, or to the default budget, past p = 41
+LONG_SPECS = ("m=4", "m=3;P=y^3,y^4")
 
 
 def load_bench():
@@ -78,7 +82,7 @@ def bench_commands(bench, tmp: Path):
 
 def search_commands():
     for spec in EXACT_SPECS:
-        for p in range(42):
+        for p in range(42 if spec in LONG_SPECS else 62):
             for fmt in ("pretty", "json"):
                 yield None, ["search", "--spec", spec, "--p", str(p), "--mode", "exact",
                              "--format", fmt]
@@ -94,10 +98,12 @@ def budget_commands(bench, tmp: Path):
     yield "1000", ["gowers", "--fixture", f101, "--s", "3", "--strategy", "direct"]
     yield "1000", ["search", "--spec", "m=3", "--p", "31", "--mode", "exact"]
     yield "1000", ["search", "--spec", "m=3", "--p", "401", "--mode", "greedy"]
-    for budget in ("1000", "5000", "50000", "100000", "300000"):
+    # the table (3248 terms), the first node charge, then answers: m=4 at p = 29 pops 38 075
+    # nodes, charged 600 terms each, so its last charge is 3248 + 9 * 4096 * 600 terms
+    for budget in ("1000", "5000", "30000000", "60000000", "180000000"):
         yield budget, m4
-    yield "100000", ["search", "--spec", "m=5", "--p", "31", "--mode", "exact"]  # mid-search
-    for budget in ("25129", "25130"):  # its fifth node charge: refused, then answered
+    yield "30000000", ["search", "--spec", "m=5", "--p", "31", "--mode", "exact"]  # mid-search
+    for budget in ("12292649", "12292650"):  # its fifth node charge: refused, then answered
         yield budget, ["search", "--spec", "m=3;P=y^3,y^4", "--p", "31", "--mode", "exact"]
     yield "not-a-number", m4
     # 2 * 101^2 * 5 * 2 = 204 020 terms for the two scans of each trial: over this budget
